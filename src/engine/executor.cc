@@ -7,6 +7,7 @@
 #include <map>
 
 #include "common/task_pool.h"
+#include "engine/join_table.h"
 #include "engine/spill_manager.h"
 #include "interp/interp.h"
 #include "record/column_view.h"
@@ -100,6 +101,14 @@ std::vector<ValueRange> SketchRanges(const ZoneMapSketch& sketch) {
     cols.push_back(sketch.ColumnRange(c));
   }
   return cols;
+}
+
+/// A CallInputs of `n` single-record inputs, built once per partition task;
+/// the task reassigns its record pointers before every call.
+CallInputs RecordInputs(size_t n) {
+  CallInputs ci;
+  ci.groups.assign(n, std::vector<const Record*>(1, nullptr));
+  return ci;
 }
 
 /// Per-partition chain executor: the producer (scan or breaker) pushes its
@@ -597,7 +606,7 @@ class ExecContext {
                 assert(b.bytes() == b.RecomputeBytes());
                 for (size_t i = 0; i < b.size(); ++i) {
                   Record& r = b.mutable_record(i);
-                  size_t to = KeyHash(KeyOf(r, key)) % options_.dop;
+                  size_t to = KeyHash(r, key) % options_.dop;
                   if (to != from) local.network_bytes += b.record_bytes(i);
                   // Drained input batches cycle through the pool into the
                   // destination buffers' tails: the shuffle rewrites
@@ -657,11 +666,14 @@ class ExecContext {
     return in;
   }
 
-  static Status CallUdf(const Interpreter& interp, const CallInputs& inputs,
-                        const FieldTranslation& t, std::vector<Record>* out,
-                        ExecStats* meters) {
+  /// One UDF call, metered. `state` is the calling task's workspace for
+  /// `interp`, reused across all of that task's calls.
+  static Status CallUdf(const Interpreter& interp,
+                        Interpreter::CallState& state,
+                        const CallInputs& inputs, const FieldTranslation& t,
+                        std::vector<Record>* out, ExecStats* meters) {
     interp::RunStats rs;
-    BLACKBOX_RETURN_NOT_OK(interp.Run(inputs, t, out, &rs));
+    BLACKBOX_RETURN_NOT_OK(interp.Run(inputs, t, out, &rs, &state));
     meters->udf_calls++;
     meters->interp_instructions += rs.instructions;
     meters->cpu_burn_units += rs.cpu_burn_units;
@@ -680,8 +692,8 @@ class ExecContext {
     if (!shipped.ok()) return shipped.status();
     Partitions in = std::move(shipped).value();
     FieldTranslation t = MakeTranslation(node);
-    // Unfused batch skipping: the materialized input batches carry their
-    // sketches from the append path, so refutation here reads them for free.
+    // Unfused batch skipping: each materialized input batch builds its
+    // sketch on demand for the refutation.
     std::optional<sca::BatchRefuter> refuter;
     if (options_.enable_data_skipping && op.udf != nullptr) {
       refuter = sca::BatchRefuter::Make(*op.udf, t);
@@ -689,6 +701,8 @@ class ExecContext {
     Partitions out = NewPartitions();
     Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());  // task-local interpreter
+      Interpreter::CallState state;
+      CallInputs ci = RecordInputs(1);
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
       BatchPool pool;
@@ -701,9 +715,9 @@ class ExecContext {
               return Status::OK();
             }
             for (size_t i = 0; i < b.size(); ++i) {
-              CallInputs ci;
-              ci.groups = {{&b.record(i)}};
-              BLACKBOX_RETURN_NOT_OK(CallUdf(interp, ci, t, &emitted, meters));
+              ci.groups[0][0] = &b.record(i);
+              BLACKBOX_RETURN_NOT_OK(
+                  CallUdf(interp, state, ci, t, &emitted, meters));
               meters->records_processed++;
               BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
             }
@@ -754,6 +768,7 @@ class ExecContext {
                        const ChainPlan& chain, Partitions* out) {
     return ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());
+      Interpreter::CallState state;
       ChainRunner runner(&chain, options_.batch_capacity, (*out)[pi].get(),
                          meters, options_.cancel);
       BatchPool pool;
@@ -774,15 +789,16 @@ class ExecContext {
       std::vector<Value> gkey;
       std::vector<Record> members;
       std::vector<Record> emitted;
+      CallInputs ci;
+      ci.groups.resize(1);
       for (;;) {
         StatusOr<bool> has = groups.NextGroup(meters, &gkey, &members);
         if (!has.ok()) return has.status();
         if (!*has) break;
-        CallInputs ci;
-        ci.groups.resize(1);
-        ci.groups[0].reserve(members.size());
+        ci.groups[0].clear();
         for (const Record& r : members) ci.groups[0].push_back(&r);
-        BLACKBOX_RETURN_NOT_OK(CallUdf(interp, ci, t, &emitted, meters));
+        BLACKBOX_RETURN_NOT_OK(
+            CallUdf(interp, state, ci, t, &emitted, meters));
         BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
       }
       BLACKBOX_RETURN_NOT_OK(runner.Flush());
@@ -845,6 +861,7 @@ class ExecContext {
                             const std::vector<AttrId>& lkey,
                             const std::vector<AttrId>& rkey, bool lsorted,
                             bool rsorted, const Interpreter& interp,
+                            Interpreter::CallState& state,
                             const FieldTranslation& t, ChainRunner* runner,
                             ExecStats* meters) {
     BatchPool pool;
@@ -864,6 +881,7 @@ class ExecContext {
     std::vector<Value> lk, rk;
     std::vector<Record> lmem, rmem;
     std::vector<Record> emitted;
+    CallInputs ci = RecordInputs(2);
     StatusOr<bool> lh = gl.NextGroup(meters, &lk, &lmem);
     if (!lh.ok()) return lh.status();
     StatusOr<bool> rh = gr.NextGroup(meters, &rk, &rmem);
@@ -881,9 +899,10 @@ class ExecContext {
       }
       for (const Record& a : lmem) {
         for (const Record& b : rmem) {
-          CallInputs ci;
-          ci.groups = {{&a}, {&b}};
-          BLACKBOX_RETURN_NOT_OK(CallUdf(interp, ci, t, &emitted, meters));
+          ci.groups[0][0] = &a;
+          ci.groups[1][0] = &b;
+          BLACKBOX_RETURN_NOT_OK(
+              CallUdf(interp, state, ci, t, &emitted, meters));
           BLACKBOX_RETURN_NOT_OK(runner->Consume(&emitted));
         }
       }
@@ -900,7 +919,7 @@ class ExecContext {
   /// build arrival order): the probe side is drained batch-wise, and for
   /// each probe batch the build side is re-scanned (spilled runs re-read,
   /// metered) one batch at a time — each build batch gets a transient
-  /// key table, matches accumulate per probe record in build-batch order
+  /// JoinTable, matches accumulate per probe record in build-batch order
   /// (batches are arrival-contiguous, so that IS build arrival order), and
   /// emission is probe-record-major. A probe batch's accumulated matches are
   /// pinned working set on the partition's ledger — the table holds record
@@ -912,19 +931,17 @@ class ExecContext {
                                 const std::vector<AttrId>& build_key,
                                 const std::vector<AttrId>& probe_key,
                                 bool build_left, const Interpreter& interp,
+                                Interpreter::CallState& state,
                                 const FieldTranslation& t, ChainRunner* runner,
                                 ExecStats* meters) {
     BatchPool pool;
     meters->records_processed +=
         static_cast<int64_t>(build->rows() + probe->rows());
     std::vector<Record> emitted;
+    CallInputs ci = RecordInputs(2);
     return probe->DrainBatches(
         meters, &pool, [&](RecordBatch&& pb) -> Status {
-          std::vector<std::vector<Value>> probe_keys(pb.size());
           std::vector<std::vector<Record>> matches(pb.size());
-          for (size_t i = 0; i < pb.size(); ++i) {
-            probe_keys[i] = KeyOf(pb.record(i), probe_key);
-          }
           // Run skipping (DESIGN.md §2.5): a build run (or in-memory batch)
           // whose key-column ranges cannot intersect this probe batch's
           // cannot contribute a match — its re-read is elided entirely.
@@ -957,14 +974,14 @@ class ExecContext {
           Status st = build->ForEachBatch(
               meters, &pool,
               [&](const RecordBatch& bb) -> Status {
-                std::map<std::vector<Value>, std::vector<size_t>> table;
+                // Entry j is bb.record(j): the table is filled in order.
+                JoinTable table(build_key, bb.size());
                 for (size_t j = 0; j < bb.size(); ++j) {
-                  table[KeyOf(bb.record(j), build_key)].push_back(j);
+                  table.Insert(&bb.record(j));
                 }
                 for (size_t i = 0; i < pb.size(); ++i) {
-                  auto it = table.find(probe_keys[i]);
-                  if (it == table.end()) continue;
-                  for (size_t j : it->second) {
+                  for (uint32_t j = table.Find(pb.record(i), probe_key);
+                       j != JoinTable::kEnd; j = table.Next(j)) {
                     BLACKBOX_RETURN_NOT_OK(resident.Add(
                         static_cast<int64_t>(bb.record_bytes(j)), meters));
                     matches[i].push_back(bb.record(j));
@@ -976,11 +993,10 @@ class ExecContext {
           BLACKBOX_RETURN_NOT_OK(st);
           for (size_t i = 0; i < pb.size(); ++i) {
             for (const Record& b : matches[i]) {
-              CallInputs ci;
-              const Record* lrec = build_left ? &b : &pb.record(i);
-              const Record* rrec = build_left ? &pb.record(i) : &b;
-              ci.groups = {{lrec}, {rrec}};
-              BLACKBOX_RETURN_NOT_OK(CallUdf(interp, ci, t, &emitted, meters));
+              ci.groups[0][0] = build_left ? &b : &pb.record(i);
+              ci.groups[1][0] = build_left ? &pb.record(i) : &b;
+              BLACKBOX_RETURN_NOT_OK(
+                  CallUdf(interp, state, ci, t, &emitted, meters));
               BLACKBOX_RETURN_NOT_OK(runner->Consume(&emitted));
             }
           }
@@ -1011,6 +1027,7 @@ class ExecContext {
       Status st =
           ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
             Interpreter interp(op.udf.get());
+            Interpreter::CallState state;
             ChainRunner runner(&chain, options_.batch_capacity,
                                out[pi].get(), meters, options_.cancel);
             bool lsorted = node.input_presorted.size() >= 2 &&
@@ -1019,7 +1036,7 @@ class ExecContext {
                            node.input_presorted[1];
             BLACKBOX_RETURN_NOT_OK(MergeJoinPartition(
                 pi, left[pi].get(), right[pi].get(), p.keys[0], p.keys[1],
-                lsorted, rsorted, interp, t, &runner, meters));
+                lsorted, rsorted, interp, state, t, &runner, meters));
             return runner.Flush();
           });
       if (!st.ok()) return st;
@@ -1029,6 +1046,7 @@ class ExecContext {
     Partitions out = NewPartitions();
     Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());
+      Interpreter::CallState state;
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
       SpillableBuffer* build = (build_left ? left : right)[pi].get();
@@ -1059,12 +1077,12 @@ class ExecContext {
             !build->SpilledRunsAreKeyClustered(build_key)) {
           BLACKBOX_RETURN_NOT_OK(MergeJoinPartition(
               pi, left[pi].get(), right[pi].get(), p.keys[0], p.keys[1],
-              /*lsorted=*/false, /*rsorted=*/false, interp, t, &runner,
-              meters));
+              /*lsorted=*/false, /*rsorted=*/false, interp, state, t,
+              &runner, meters));
         } else {
           BLACKBOX_RETURN_NOT_OK(BlockHashJoinPartition(
-              pi, build, probe, build_key, probe_key, build_left, interp, t,
-              &runner, meters));
+              pi, build, probe, build_key, probe_key, build_left, interp,
+              state, t, &runner, meters));
         }
         return runner.Flush();
       }
@@ -1083,27 +1101,24 @@ class ExecContext {
             build_run.push_back(std::move(b));
             return Status::OK();
           }));
-      // Partition-local build table.
-      std::map<std::vector<Value>, std::vector<const Record*>> table;
+      // Partition-local build table, filled in build arrival order.
+      JoinTable table(build_key, BatchesRows(build_run));
       for (const RecordBatch& b : build_run) {
-        for (size_t i = 0; i < b.size(); ++i) {
-          table[KeyOf(b.record(i), build_key)].push_back(&b.record(i));
-        }
+        for (size_t i = 0; i < b.size(); ++i) table.Insert(&b.record(i));
       }
       std::vector<Record> emitted;
+      CallInputs ci = RecordInputs(2);
       BLACKBOX_RETURN_NOT_OK(probe->DrainBatches(
           meters, &pool, [&](RecordBatch&& pb) -> Status {
             for (size_t i = 0; i < pb.size(); ++i) {
               const Record& r = pb.record(i);
-              auto it = table.find(KeyOf(r, probe_key));
-              if (it == table.end()) continue;
-              for (const Record* b : it->second) {
-                CallInputs ci;
-                const Record* lrec = build_left ? b : &r;
-                const Record* rrec = build_left ? &r : b;
-                ci.groups = {{lrec}, {rrec}};
+              for (uint32_t e = table.Find(r, probe_key); e != JoinTable::kEnd;
+                   e = table.Next(e)) {
+                const Record* b = &table.record(e);
+                ci.groups[0][0] = build_left ? b : &r;
+                ci.groups[1][0] = build_left ? &r : b;
                 BLACKBOX_RETURN_NOT_OK(
-                    CallUdf(interp, ci, t, &emitted, meters));
+                    CallUdf(interp, state, ci, t, &emitted, meters));
                 BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
               }
             }
@@ -1133,6 +1148,7 @@ class ExecContext {
     Partitions out = NewPartitions();
     Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());
+      Interpreter::CallState state;
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
       BatchPool pool;
@@ -1141,6 +1157,7 @@ class ExecContext {
       meters->records_processed +=
           static_cast<int64_t>(lbuf->rows() + rbuf->rows());
       std::vector<Record> emitted;
+      CallInputs ci = RecordInputs(2);
       if (static_cast<double>(rbuf->payload_bytes()) <=
           options_.mem_budget_bytes) {
         // Inner side fits: pin it resident and loop exactly like the
@@ -1159,10 +1176,10 @@ class ExecContext {
               for (size_t i = 0; i < lb.size(); ++i) {
                 for (const RecordBatch& rb : right_run) {
                   for (size_t j = 0; j < rb.size(); ++j) {
-                    CallInputs ci;
-                    ci.groups = {{&lb.record(i)}, {&rb.record(j)}};
+                    ci.groups[0][0] = &lb.record(i);
+                    ci.groups[1][0] = &rb.record(j);
                     BLACKBOX_RETURN_NOT_OK(
-                        CallUdf(interp, ci, t, &emitted, meters));
+                        CallUdf(interp, state, ci, t, &emitted, meters));
                     BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
                   }
                 }
@@ -1182,10 +1199,10 @@ class ExecContext {
                   meters, &pool, [&](const RecordBatch& rb) -> Status {
                     for (size_t i = 0; i < lb.size(); ++i) {
                       for (size_t j = 0; j < rb.size(); ++j) {
-                        CallInputs ci;
-                        ci.groups = {{&lb.record(i)}, {&rb.record(j)}};
+                        ci.groups[0][0] = &lb.record(i);
+                        ci.groups[1][0] = &rb.record(j);
                         BLACKBOX_RETURN_NOT_OK(
-                            CallUdf(interp, ci, t, &emitted, meters));
+                            CallUdf(interp, state, ci, t, &emitted, meters));
                         BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
                       }
                     }
@@ -1222,6 +1239,7 @@ class ExecContext {
     Partitions out = NewPartitions();
     Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
       Interpreter interp(op.udf.get());
+      Interpreter::CallState state;
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
       BatchPool pool;
@@ -1245,6 +1263,8 @@ class ExecContext {
       std::vector<Value> lk, rk;
       std::vector<Record> lmem, rmem;
       std::vector<Record> emitted;
+      CallInputs ci;
+      ci.groups.resize(2);
       StatusOr<bool> lh = gl.NextGroup(meters, &lk, &lmem);
       if (!lh.ok()) return lh.status();
       StatusOr<bool> rh = gr.NextGroup(meters, &rk, &rmem);
@@ -1252,17 +1272,16 @@ class ExecContext {
       while (*lh || *rh) {
         bool take_left = *lh && (!*rh || !KeyLess(rk, lk));
         bool take_right = *rh && (!*lh || !KeyLess(lk, rk));
-        CallInputs ci;
-        ci.groups.resize(2);
+        ci.groups[0].clear();
+        ci.groups[1].clear();
         if (take_left) {
-          ci.groups[0].reserve(lmem.size());
           for (const Record& r : lmem) ci.groups[0].push_back(&r);
         }
         if (take_right) {
-          ci.groups[1].reserve(rmem.size());
           for (const Record& r : rmem) ci.groups[1].push_back(&r);
         }
-        BLACKBOX_RETURN_NOT_OK(CallUdf(interp, ci, t, &emitted, meters));
+        BLACKBOX_RETURN_NOT_OK(
+            CallUdf(interp, state, ci, t, &emitted, meters));
         BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
         if (take_left) {
           lh = gl.NextGroup(meters, &lk, &lmem);

@@ -10,20 +10,26 @@ namespace engine {
 
 // --- key helpers -------------------------------------------------------------
 
+namespace {
+const Value kNullField;
+}  // namespace
+
+const Value& KeyField(const Record& r, dataflow::AttrId a) {
+  return a < static_cast<int>(r.num_fields()) ? r.field(a) : kNullField;
+}
+
 std::vector<Value> KeyOf(const Record& r,
                          const std::vector<dataflow::AttrId>& key) {
   std::vector<Value> k;
   k.reserve(key.size());
-  for (dataflow::AttrId a : key) {
-    k.push_back(a < static_cast<int>(r.num_fields()) ? r.field(a) : Value());
-  }
+  for (dataflow::AttrId a : key) k.push_back(KeyField(r, a));
   return k;
 }
 
-uint64_t KeyHash(const std::vector<Value>& key) {
+uint64_t KeyHash(const Record& r, const std::vector<dataflow::AttrId>& key) {
   uint64_t h = 0xCBF29CE484222325ULL;
-  for (const Value& v : key) {
-    h ^= v.Hash();
+  for (dataflow::AttrId a : key) {
+    h ^= KeyField(r, a).Hash();
     h *= 0x100000001B3ULL;
   }
   return h;
@@ -80,9 +86,9 @@ StatusOr<SpillRun> SpillManager::WriteRun(
     const std::vector<RecordBatch>& batches, ExecStats* m) {
   StatusOr<std::string> path = NewRunPath();
   if (!path.ok()) return path.status();
-  // All batches are in memory here, so the run-level sketch is just the
-  // merge of the per-batch sketches maintained on the append path — cheap,
-  // and written into the header before any batch payload.
+  // All batches are in memory here, so the run-level sketch is the merge of
+  // the per-batch sketches, written into the header before any batch
+  // payload.
   ZoneMapSketch sketch;
   for (const RecordBatch& b : batches) sketch.Merge(b.sketch());
   StatusOr<BatchSpillWriter> writer = BatchSpillWriter::Create(*path, &sketch);

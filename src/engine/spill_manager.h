@@ -50,10 +50,15 @@ struct ExecStats;
 
 // --- key helpers (shared by the executor and the sort machinery) -----------
 
+/// The field at global position `a`; a position past the record's width
+/// reads as null.
+const Value& KeyField(const Record& r, dataflow::AttrId a);
 /// Key extracted at the given global positions.
 std::vector<Value> KeyOf(const Record& r,
                          const std::vector<dataflow::AttrId>& key);
-uint64_t KeyHash(const std::vector<Value>& key);
+/// The partitioning hash of r's key at `key`, read in place. Keys that are
+/// equivalent under KeyLess hash alike.
+uint64_t KeyHash(const Record& r, const std::vector<dataflow::AttrId>& key);
 bool KeyLess(const std::vector<Value>& a, const std::vector<Value>& b);
 
 // --- spill manager ----------------------------------------------------------

@@ -72,8 +72,21 @@ int Compare(const Value& a, const Value& b) {
 Status Interpreter::Run(const CallInputs& inputs,
                         const FieldTranslation& translation,
                         std::vector<Record>* out, RunStats* stats) const {
-  Workspace ws;
-  ws.Resize(fn_->num_registers());
+  CallState state;
+  return Run(inputs, translation, out, stats, &state);
+}
+
+Status Interpreter::Run(const CallInputs& inputs,
+                        const FieldTranslation& translation,
+                        std::vector<Record>* out, RunStats* stats,
+                        CallState* state) const {
+  Workspace& ws = state->ws_;
+  const size_t registers = static_cast<size_t>(fn_->num_registers());
+  if (ws.vals.size() != registers) {
+    ws.Resize(registers);
+  } else {
+    ws.Reset();
+  }
   const int n = static_cast<int>(fn_->instrs().size());
   return RunInternal(inputs, translation, out, stats, &ws, 0, n, nullptr);
 }

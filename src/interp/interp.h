@@ -81,8 +81,8 @@ class Interpreter {
       rec_input.assign(num_registers, -2);
       emitted.reserve(8);
     }
-    /// Between-record reuse (RunBatch): restore the fresh-call contents
-    /// without reallocating.
+    /// Between-call reuse (RunBatch, CallState): restore the fresh-call
+    /// contents without reallocating.
     void Reset() {
       std::fill(vals.begin(), vals.end(), Value());
       std::fill(recs.begin(), recs.end(), Record());
@@ -121,14 +121,34 @@ class Interpreter {
     bool preamble_done_ = false;
   };
 
+  /// Reusable workspace for a sequence of Run() calls, owned by one
+  /// partition task and used with one Interpreter (DESIGN.md §2.1): the
+  /// per-call counterpart of ChainState. The first call sizes the register
+  /// workspace; every later call starts from Reset()'s fresh-call contents,
+  /// so a sequence of Run(..., &state) calls is byte-identical, in output
+  /// and RunStats, to the same sequence of fresh Run() calls.
+  class CallState {
+   private:
+    friend class Interpreter;
+    Workspace ws_;
+  };
+
   /// Runs the UDF on the given inputs, appending emitted records to *out.
+  /// Equivalent to the CallState overload with a fresh state.
   ///
   /// Thread-safety: Run is re-entrant — all interpreter state (registers,
-  /// record slots, step counter) lives on the caller's stack, and the shared
-  /// kCpuBurn sink is a relaxed atomic. The engine relies on this to run one
-  /// Interpreter per partition task concurrently (DESIGN.md §2.1).
+  /// record slots, step counter) lives on the caller's stack or in the
+  /// caller's CallState, and the shared kCpuBurn sink is a relaxed atomic.
+  /// The engine relies on this to run one Interpreter per partition task
+  /// concurrently (DESIGN.md §2.1).
   Status Run(const CallInputs& inputs, const FieldTranslation& translation,
              std::vector<Record>* out, RunStats* stats = nullptr) const;
+
+  /// Run() over the caller's reusable workspace: no per-call allocation
+  /// beyond what the UDF itself builds.
+  Status Run(const CallInputs& inputs, const FieldTranslation& translation,
+             std::vector<Record>* out, RunStats* stats,
+             CallState* state) const;
 
   /// Batch entry point for RAT operators (DESIGN.md §2.2): one UDF
   /// invocation per record of `in`, with the per-invocation setup — the

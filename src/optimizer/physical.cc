@@ -198,15 +198,18 @@ class PhysicalPlanner {
     return w_.disk_per_byte * 2 * total_bytes;
   }
 
-  /// CPU of sorting `rows` per-partition (also the cost of the tree-based
-  /// grouping the engine actually performs): n log(n/dop) comparisons.
+  /// CPU of sorting `rows` per-partition (also the cost of the engine's
+  /// sort-based grouping): n log(n/dop) comparisons.
   double SortCpu(double rows) const {
     return w_.cpu_per_record * rows *
            std::max(1.0, std::log2(std::max(2.0, rows / w_.dop)));
   }
 
-  /// Per-lookup depth of the engine's tree-based join table built over
-  /// `build_rows` per instance. Charged per build insert and per probe.
+  /// Per-lookup log(build/dop) factor over `build_rows` per instance,
+  /// charged per build insert and per probe. The engine's JoinTable is an
+  /// open hash table; the factor stays on purpose until hash joins are
+  /// re-priced, because re-pricing changes plan choice, the cost-snapshot
+  /// goldens and the bench baseline.
   double LookupFactor(double build_rows) const {
     return std::max(1.0, std::log2(std::max(2.0, build_rows / w_.dop)));
   }
@@ -518,8 +521,8 @@ class PhysicalPlanner {
     double build_bytes = std::min(lrows * l.est_bytes_per_row,
                                   rrows * r.est_bytes_per_row);
     double disk = SpillCost(build_bytes);
-    // The engine's join table is an ordered tree: inserts and probes both
-    // pay a log(build/dop) depth factor.
+    // Inserts and probes both pay the log(build/dop) LookupFactor, kept on
+    // purpose until hash joins are re-priced (see LookupFactor).
     double hash_cpu = call_cpu + record_cpu +
                       w_.cpu_per_record * (lrows + rrows) *
                           (LookupFactor(build_rows) - 1.0);

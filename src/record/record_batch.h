@@ -7,10 +7,15 @@
 // pooled batch that cycles through an operator chain allocates only on its
 // first trips (the arena-reuse contract the per-partition chain runners rely
 // on).
+//
+// A batch is owned by one task at a time, like a BatchPool: the const
+// sketch() fills a cache, so two threads may not read one batch's sketch
+// concurrently.
 
 #ifndef BLACKBOX_RECORD_RECORD_BATCH_H_
 #define BLACKBOX_RECORD_RECORD_BATCH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -46,15 +51,18 @@ class RecordBatch {
   /// records between batches carries the cached size instead of re-deriving
   /// it).
   void AppendWithSize(Record r, size_t serialized_bytes) {
-    sketch_.Observe(r);
     records_.push_back(std::move(r));
     sizes_.push_back(serialized_bytes);
     bytes_ += serialized_bytes;
   }
 
   const Record& record(size_t i) const { return records_[i]; }
-  /// Mutable access for move-out consumers (shipping drains batches).
-  Record& mutable_record(size_t i) { return records_[i]; }
+  /// Mutable access for move-out consumers (shipping drains batches). The
+  /// batch's sketch may not be read afterwards, until the next Clear().
+  Record& mutable_record(size_t i) {
+    records_handed_out_ = true;
+    return records_[i];
+  }
   size_t record_bytes(size_t i) const { return sizes_[i]; }
 
   /// Total serialized bytes of the batch, from the cached per-record sizes.
@@ -73,10 +81,23 @@ class RecordBatch {
   /// cached sizes are about to feed the meters. No-op in Release builds.
   void DebugCheckSizes() const;
 
-  /// The zone-map sketch over every record appended since the last Clear —
-  /// maintained incrementally on the append path (DESIGN.md §2.5). Consumers
-  /// must treat it as an over-approximation of the batch's contents.
-  const ZoneMapSketch& sketch() const { return sketch_; }
+  /// The zone-map sketch over every record appended since the last Clear
+  /// (DESIGN.md §2.5), built on demand: the first call folds the records in,
+  /// later calls fold only records appended since. Only skip decisions read
+  /// it (spill-run headers, the unfused Map refuter, block-join probe
+  /// ranges), so batches on the fused in-memory path never pay for one.
+  /// Consumers must treat it as an over-approximation of the batch's
+  /// contents.
+  const ZoneMapSketch& sketch() const {
+    // Records moved out through mutable_record() would fold in as
+    // moved-from values, and the sketch would stop covering the batch.
+    assert(!records_handed_out_ && "sketch() after mutable_record()");
+    // sketch_.rows() counts the records already folded in.
+    for (size_t i = sketch_.rows(); i < records_.size(); ++i) {
+      sketch_.Observe(records_[i]);
+    }
+    return sketch_;
+  }
 
   /// Empties the batch but keeps the backing vectors' capacity (arena
   /// reuse); the capacity() watermark is preserved.
@@ -85,6 +106,7 @@ class RecordBatch {
     sizes_.clear();
     bytes_ = 0;
     sketch_.Clear();
+    records_handed_out_ = false;
   }
 
  private:
@@ -92,7 +114,8 @@ class RecordBatch {
   std::vector<size_t> sizes_;  // sizes_[i] == records_[i].SerializedSize()
   size_t bytes_ = 0;
   size_t capacity_ = kDefaultCapacity;
-  ZoneMapSketch sketch_;
+  mutable ZoneMapSketch sketch_;  // covers records_[0, sketch_.rows())
+  bool records_handed_out_ = false;
 };
 
 /// A freelist of cleared batches. Not thread-safe by design: every

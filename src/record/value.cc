@@ -1,12 +1,17 @@
 #include "record/value.h"
 
+#include <cmath>
 #include <functional>
+#include <limits>
 
 namespace blackbox {
 
 bool Value::operator<(const Value& other) const {
   // Order first by type tag, then by content; gives a total order usable for
   // sorting in sort-based grouping and canonical data set comparison.
+  // Doubles order NaN after every other double and equivalent to any NaN
+  // (as PostgreSQL does): IEEE `<` is false both ways against NaN, which is
+  // no strict weak order and undefined behaviour in sorts and ordered maps.
   if (repr_.index() != other.repr_.index()) {
     return repr_.index() < other.repr_.index();
   }
@@ -15,8 +20,11 @@ bool Value::operator<(const Value& other) const {
       return false;
     case ValueType::kInt:
       return AsInt() < other.AsInt();
-    case ValueType::kDouble:
-      return AsDouble() < other.AsDouble();
+    case ValueType::kDouble: {
+      const double a = AsDouble(), b = other.AsDouble();
+      if (std::isnan(a)) return false;
+      return std::isnan(b) || a < b;
+    }
     case ValueType::kString:
       return AsString() < other.AsString();
   }
@@ -33,7 +41,11 @@ uint64_t Value::Hash() const {
       return x ^ (x >> 31);
     }
     case ValueType::kDouble: {
+      // Values equivalent under operator< hash alike: -0.0 as +0.0, and
+      // every NaN payload as the one quiet NaN.
       double d = AsDouble();
+      if (d == 0.0) d = 0.0;
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));
       __builtin_memcpy(&bits, &d, sizeof(bits));

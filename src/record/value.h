@@ -60,9 +60,15 @@ class Value {
   /// mirroring the paper's record-equality definition over raw values.
   bool operator==(const Value& other) const { return repr_ == other.repr_; }
   bool operator!=(const Value& other) const { return !(*this == other); }
+  /// Strict weak order by type tag, then content — the key order of every
+  /// grouping, sort and join comparator. Among doubles, 0.0 and -0.0 are
+  /// equivalent, and NaN sorts after every other double and is equivalent
+  /// to any NaN.
   bool operator<(const Value& other) const;
 
-  /// Stable 64-bit hash used for hash partitioning and join tables.
+  /// Stable 64-bit hash used for hash partitioning and join tables. Values
+  /// equivalent under operator< hash alike, so one key never splits across
+  /// partitions.
   uint64_t Hash() const;
 
   /// Serialized size in bytes under the engine's wire format; drives the

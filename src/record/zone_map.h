@@ -1,10 +1,9 @@
 // Zone-map sketches for data skipping (DESIGN.md §2.5). A ZoneMapSketch
 // summarizes a run of records with, per attribute position, the set of value
 // types seen plus min/max bounds per type — the classic zone map, adapted to
-// the engine's dynamically-typed values. Sketches are maintained incrementally
-// on the batch append path (RecordBatch::AppendWithSize) and merged into
-// per-run summaries when batches spill, so both in-memory batches and
-// spill-run headers carry one.
+// the engine's dynamically-typed values. A batch builds its sketch on demand
+// (RecordBatch::sketch), and spilling merges the batch sketches into a
+// per-run summary, so both in-memory batches and spill-run headers carry one.
 //
 // The single soundness rule: a sketch may only ever OVER-approximate the
 // values actually present. Every consumer (the filter-chain refuter in

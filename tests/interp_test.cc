@@ -298,6 +298,140 @@ TEST(Interp, RunBatchResetsWorkspaceBetweenRecords) {
   EXPECT_EQ(out[1].field(1).AsInt(), 1);
 }
 
+/// Runs `calls` once through one reused CallState and once as fresh Run()
+/// calls: every call must emit the same records and meter the same RunStats.
+void ExpectCallStateMatchesFreshRuns(const tac::Function& fn,
+                                     const FieldTranslation& t,
+                                     const std::vector<CallInputs>& calls) {
+  Interpreter interp(&fn);
+  Interpreter::CallState state;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    std::vector<Record> fresh_out, state_out;
+    RunStats fresh_rs, state_rs;
+    ASSERT_TRUE(interp.Run(calls[i], t, &fresh_out, &fresh_rs).ok());
+    ASSERT_TRUE(interp.Run(calls[i], t, &state_out, &state_rs, &state).ok());
+    EXPECT_EQ(state_out, fresh_out) << "call " << i;
+    EXPECT_EQ(state_rs.instructions, fresh_rs.instructions) << "call " << i;
+    EXPECT_EQ(state_rs.cpu_burn_units, fresh_rs.cpu_burn_units) << "call " << i;
+    EXPECT_EQ(state_rs.emits, fresh_rs.emits) << "call " << i;
+  }
+}
+
+TEST(Interp, CallStateMatchesFreshRunsOnKatGroupsAndMultiEmit) {
+  // Sums field 1 over the group, then emits every member with the sum in
+  // field 2: the loop registers and the emit count depend on group size.
+  FunctionBuilder b("sum_all", 1, UdfKind::kKat);
+  Reg n = b.InputCount(0);
+  Reg i = b.ConstInt(0);
+  Reg sum = b.ConstInt(0);
+  Label loop = b.NewLabel();
+  Label summed = b.NewLabel();
+  b.Bind(loop);
+  b.BranchIfFalse(b.CmpLt(i, n), summed);
+  b.AccumAdd(sum, b.GetField(b.InputAt(0, i), 1));
+  b.AccumAdd(i, b.ConstInt(1));
+  b.Goto(loop);
+  b.Bind(summed);
+  Reg j = b.ConstInt(0);
+  Label emit_loop = b.NewLabel();
+  Label done = b.NewLabel();
+  b.Bind(emit_loop);
+  b.BranchIfFalse(b.CmpLt(j, n), done);
+  Reg out = b.Copy(b.InputAt(0, j));
+  b.SetField(out, 2, sum);
+  b.Emit(out);
+  b.AccumAdd(j, b.ConstInt(1));
+  b.Goto(emit_loop);
+  b.Bind(done);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+
+  std::vector<Record> records;
+  for (int64_t v = 0; v < 11; ++v) {
+    records.push_back(Record({Value(v % 3), Value(v)}));
+  }
+  std::vector<CallInputs> calls;
+  size_t next = 0;
+  for (size_t size : {4u, 1u, 5u, 1u}) {
+    CallInputs ci;
+    ci.groups.resize(1);
+    for (size_t k = 0; k < size; ++k) ci.groups[0].push_back(&records[next++]);
+    calls.push_back(std::move(ci));
+  }
+  ExpectCallStateMatchesFreshRuns(fn, {}, calls);
+}
+
+TEST(Interp, CallStateMatchesFreshRunsOnFilterAndExpand) {
+  FunctionBuilder b("fe", 1, UdfKind::kRat);
+  Reg ir = b.InputRecord(0);
+  Reg v = b.GetField(ir, 0);
+  Label skip = b.NewLabel();
+  b.BranchIfTrue(b.CmpLt(v, b.ConstInt(0)), skip);
+  Reg orec = b.Copy(ir);
+  b.SetField(orec, 1, b.Add(v, b.ConstInt(1)));
+  b.Emit(orec);
+  b.Emit(orec);
+  b.Bind(skip);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+
+  FieldTranslation t;
+  t.global_width = 4;
+  t.input_maps = {{2, 3}};
+  t.output_map = {2, 3};
+  std::vector<Record> records;
+  for (int64_t v : {3, -1, 0, -5, 7}) {
+    Record wide;
+    wide.SetField(3, Value::Null());
+    wide.SetField(2, Value(v));
+    records.push_back(std::move(wide));
+  }
+  std::vector<CallInputs> calls;
+  for (const Record& r : records) {
+    CallInputs ci;
+    ci.groups = {{&r}};
+    calls.push_back(std::move(ci));
+  }
+  ExpectCallStateMatchesFreshRuns(fn, t, calls);
+}
+
+TEST(Interp, CallStateDoesNotLeakRecordRegistersAcrossCalls) {
+  // `saved` is written only when field 0 >= 10, but read on every call. A
+  // reused workspace must read it as a fresh (empty) record on the calls
+  // that skip the write, not as the previous call's copy.
+  FunctionBuilder b("saved", 1, UdfKind::kRat);
+  Reg ir = b.InputRecord(0);
+  Reg v = b.GetField(ir, 0);
+  Label after = b.NewLabel();
+  b.BranchIfFalse(b.CmpGe(v, b.ConstInt(10)), after);
+  Reg saved = b.Copy(ir);
+  b.SetField(saved, 1, b.ConstInt(99));
+  b.Bind(after);
+  Reg out = b.NewRecord();
+  b.SetField(out, 0, b.GetField(saved, 1));
+  b.SetField(out, 1, v);
+  b.Emit(out);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+
+  const Record big({Value(int64_t{42}), Value(int64_t{0})});
+  const Record small({Value(int64_t{1}), Value(int64_t{0})});
+  std::vector<CallInputs> calls(2);
+  calls[0].groups = {{&big}};
+  calls[1].groups = {{&small}};
+  ExpectCallStateMatchesFreshRuns(fn, {}, calls);
+
+  Interpreter interp(&fn);
+  Interpreter::CallState state;
+  std::vector<Record> emitted;
+  ASSERT_TRUE(interp.Run(calls[0], {}, &emitted, nullptr, &state).ok());
+  ASSERT_TRUE(interp.Run(calls[1], {}, &emitted, nullptr, &state).ok());
+  ASSERT_EQ(emitted.size(), 2u);
+  EXPECT_EQ(emitted[0].field(0).AsInt(), 99);
+  EXPECT_TRUE(emitted[1].field(0).is_null())
+      << "record register leaked across calls: " << emitted[1].ToString();
+}
+
 TEST(Interp, RunBatchOnEmptyBatchIsNoOp) {
   FunctionBuilder b("id", 1, UdfKind::kRat);
   b.Emit(b.Copy(b.InputRecord(0)));

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "record/record.h"
 #include "workloads/tpch.h"
 
@@ -75,6 +77,79 @@ TEST(RecordBatch, AppendWithSizeCarriesCachedSize) {
   dst.AppendWithSize(Record(src.record(0)), src.record_bytes(0));
   EXPECT_EQ(dst.bytes(), src.bytes());
   EXPECT_EQ(dst.bytes(), dst.RecomputeBytes());
+}
+
+std::string Encoded(const ZoneMapSketch& s) {
+  std::string out;
+  s.EncodeTo(&out);
+  return out;
+}
+
+/// The reference: Observe folded over every record of the batch, in order.
+std::string EagerSketch(const RecordBatch& b) {
+  ZoneMapSketch s;
+  for (size_t i = 0; i < b.size(); ++i) s.Observe(b.record(i));
+  return Encoded(s);
+}
+
+/// Records of mixed widths and types, including a string longer than the
+/// tracked bound and the special doubles.
+Record MixedRecord(int64_t i) {
+  switch (i % 4) {
+    case 0:
+      return Record({Value(i), Value(-0.0)});
+    case 1:
+      return Record({Value(std::string(40, static_cast<char>('a' + i % 26)))});
+    case 2:
+      return Record({Value(i * 0.5), Value::Null(), Value(std::string("s"))});
+    default:
+      return Record({Value::Null(), Value(std::nan(""))});
+  }
+}
+
+TEST(RecordBatch, SketchOnDemandEqualsEagerFold) {
+  RecordBatch b(8);
+  EXPECT_EQ(Encoded(b.sketch()), EagerSketch(b));  // empty batch
+  for (int64_t i = 0; i < 3; ++i) b.Append(MixedRecord(i));
+  EXPECT_EQ(Encoded(b.sketch()), EagerSketch(b));
+  // Appends after a read extend the cached sketch.
+  for (int64_t i = 3; i < 7; ++i) b.Append(MixedRecord(i));
+  EXPECT_EQ(Encoded(b.sketch()), EagerSketch(b));
+  EXPECT_EQ(b.sketch().rows(), b.size());
+
+  b.Clear();
+  EXPECT_EQ(Encoded(b.sketch()), EagerSketch(b));
+  b.Append(MixedRecord(1));
+  EXPECT_EQ(Encoded(b.sketch()), EagerSketch(b));
+
+  // Pool reuse: a released batch comes back with no stale sketch.
+  BatchPool pool;
+  pool.Release(std::move(b));
+  RecordBatch reused = pool.Acquire(8);
+  reused.Append(MixedRecord(2));
+  reused.Append(MixedRecord(0));
+  EXPECT_EQ(Encoded(reused.sketch()), EagerSketch(reused));
+
+  // Moves carry the records and the sketch together.
+  RecordBatch moved = std::move(reused);
+  EXPECT_EQ(Encoded(moved.sketch()), EagerSketch(moved));
+  moved.Append(MixedRecord(3));
+  EXPECT_EQ(Encoded(moved.sketch()), EagerSketch(moved));
+  RecordBatch assigned(8);
+  assigned.Append(MixedRecord(1));
+  (void)assigned.sketch();
+  assigned = std::move(moved);
+  EXPECT_EQ(Encoded(assigned.sketch()), EagerSketch(assigned));
+}
+
+TEST(RecordBatchDeathTest, SketchAfterMutableRecordFailsDebugAssert) {
+  RecordBatch b(4);
+  b.Append(IntRecord(1, 2));
+  Record taken = std::move(b.mutable_record(0));
+  EXPECT_DEBUG_DEATH((void)b.sketch(), "sketch\\(\\) after mutable_record");
+  b.Clear();  // the batch is reusable again
+  b.Append(std::move(taken));
+  EXPECT_EQ(Encoded(b.sketch()), EagerSketch(b));
 }
 
 TEST(BatchPool, RecyclesAtMatchingCapacity) {
