@@ -80,7 +80,7 @@ bool RunConfig(const workloads::Workload& w, const Config& cfg,
   // the FULL closure per feature config — use the exhaustive search, and
   // keep every row an independent optimization (configs that share a cache
   // key across workload repeats would alias).
-  options.search = core::SearchMode::kClosure;
+  options.top_k = core::kAllPlans;
   options.use_plan_cache = false;
   options.exec.dop = 8;
   options.exec.mem_budget_bytes = cfg.mem_budget_bytes;
@@ -91,7 +91,7 @@ bool RunConfig(const workloads::Workload& w, const Config& cfg,
   options.weights.enable_combiner = cfg.combiner;
   options.weights.enable_chain_fusion = cfg.chain_costing;
   options.weights.enable_spill = cfg.spill_costing;
-  options.weights.enable_data_skipping = cfg.data_skipping;
+  options.exec.enable_data_skipping = cfg.data_skipping;
   options.weights.enable_chain_specialization = cfg.specialize;
   options.exec.enable_chain_specialization = cfg.specialize;
 

@@ -39,12 +39,11 @@ StatusOr<FigureResult> RunRankedFigure(const workloads::Workload& w,
       config.provider ? *config.provider : sca;
   api::OptimizeOptions options;
   options.exec = config.exec;
-  options.exec.num_threads = config.num_threads;  // costing inherits this
   // The figures sample plans at regular rank intervals across the WHOLE
   // plan space (the paper's Figures 5-7 methodology), so they need the
   // full closure, not a ranked top-k; and they measure optimization, so
   // the plan cache must not short-circuit it.
-  options.search = core::SearchMode::kClosure;
+  options.top_k = core::kAllPlans;
   options.use_plan_cache = false;
 
   // Bind up front so hint providers that execute the flow (ProfilerProvider)
@@ -145,10 +144,10 @@ StatusOr<ThreadScalingPoint> MeasurePoint(const workloads::Workload& w,
       config.provider ? *config.provider : sca;
   api::OptimizeOptions options;
   options.exec = config.exec;
-  options.exec.num_threads = threads;  // costing inherits this
-  // Thread scaling measures the closure costing pipeline's parallelism;
-  // a cache hit (or the serial ranked search) would fake the speedup.
-  options.search = core::SearchMode::kClosure;
+  options.exec.num_threads = threads;
+  // Times the figures' full-closure optimize next to the run; a cache hit
+  // would skip the optimize it reports.
+  options.top_k = core::kAllPlans;
   options.use_plan_cache = false;
   api::SourceBindings sources;
   for (const auto& [id, data] : w.source_data) sources[id] = &data;

@@ -39,11 +39,8 @@ struct BenchConfig {
   const api::AnnotationProvider* provider = nullptr;
   int picks = 10;  // plans sampled at regular rank intervals
   int reps = 3;    // repetitions per plan (the fastest run is reported)
-  /// Worker threads for both plan costing and partition execution (the
-  /// single thread knob — it overrides exec.num_threads). Results are
-  /// thread-count-invariant (the determinism contract); this only moves
-  /// real wall time.
-  int num_threads = 1;
+  /// Execution options; results are invariant under exec.num_threads (the
+  /// determinism contract), which only moves real wall time.
   engine::ExecOptions exec;
 
   BenchConfig() {
@@ -75,8 +72,9 @@ void PrintFigure(const std::string& title, const FigureResult& result);
 /// 1-based rank of the originally implemented data flow, -1 if absent.
 int ImplementedRank(const api::OptimizedProgram& program);
 
-/// Real wall time of one end-to-end optimize (annotate + enumerate + cost)
-/// plus one execution of the best-ranked plan, at a given thread count.
+/// Real wall time of one end-to-end optimize (annotate + enumerate + cost,
+/// serial) plus one execution of the best-ranked plan at a given thread
+/// count.
 struct ThreadScalingPoint {
   int threads = 1;
   double optimize_seconds = 0;
@@ -86,8 +84,8 @@ struct ThreadScalingPoint {
 
 /// Serial vs parallel end-to-end wall time for one workload.
 struct ThreadScaling {
-  ThreadScalingPoint serial;    // num_threads = 1
-  ThreadScalingPoint parallel;  // num_threads = threads
+  ThreadScalingPoint serial;    // exec.num_threads = 1
+  ThreadScalingPoint parallel;  // exec.num_threads = threads
   double speedup = 0;           // serial total / parallel total
 };
 

@@ -23,7 +23,7 @@ size_t Count(const dataflow::DataFlow& flow,
   // Table 1 reports the size of the FULL reorder closure each annotation
   // source admits — the exhaustive search, not the anytime one.
   api::OptimizeOptions options;
-  options.search = core::SearchMode::kClosure;
+  options.top_k = core::kAllPlans;
   options.use_plan_cache = false;
   StatusOr<api::OptimizedProgram> program =
       api::OptimizeFlow(flow, provider, options);

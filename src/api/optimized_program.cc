@@ -153,11 +153,8 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
   core::BlackBoxOptimizer::Options copts;
   copts.weights = options.weights;
   copts.enum_options = options.enum_options;
-  copts.search = options.search;
   copts.top_k = options.top_k;
   copts.cost_epsilon = options.cost_epsilon;
-  copts.num_threads =
-      options.num_threads > 0 ? options.num_threads : options.exec.num_threads;
   if (options.cost_model_follows_exec) {
     // Estimates and measured runs must describe the same simulated cluster.
     // A caller-supplied cost-model cluster that contradicts the exec cluster
@@ -185,25 +182,17 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
 
   // Plan-cache lookup BEFORE annotation: a hit skips UDF analysis too. The
   // key is built from the resolved weights and search knobs, so any change
-  // that could alter a plan or a cost misses. num_threads is execution-only
-  // and deliberately absent (plans are thread-count-invariant by
-  // construction).
+  // that could alter a plan or a cost misses. Execution options are absent
+  // (plans are thread-count-invariant by construction).
   OptimizedProgram program;
   program.sources_ = sources;
   program.exec_ = options.exec;
-  // The ablation switch lives on the weights (one flag per optimizer
-  // feature); skipping runs only when neither side disabled it.
-  program.exec_.enable_data_skipping =
-      options.exec.enable_data_skipping && options.weights.enable_data_skipping;
-  program.exec_.enable_chain_specialization =
-      options.exec.enable_chain_specialization &&
-      options.weights.enable_chain_specialization;
   const bool cacheable = options.use_plan_cache && provider.deterministic();
   std::string cache_key;
   if (cacheable) {
     cache_key = optimizer::PlanCacheKey(
-        flow, provider.name(), copts.weights, copts.enum_options,
-        static_cast<int>(copts.search), copts.top_k, copts.cost_epsilon);
+        flow, provider.name(), copts.weights, copts.enum_options, copts.top_k,
+        copts.cost_epsilon);
     if (std::shared_ptr<const optimizer::PlanCacheValue> hit =
             optimizer::PlanCache::Global().Lookup(cache_key)) {
       program.result_ =

@@ -32,12 +32,10 @@ struct OptimizeOptions {
   enumerate::EnumOptions enum_options;
   engine::ExecOptions exec;
 
-  /// Plan-space exploration (DESIGN.md §3.4). The default ranked search
-  /// costs plans best-first under an admissible bound and stops as soon as
-  /// the top_k cannot change; kClosure restores the materialize-everything
-  /// behavior (the oracle differential tests iterate it).
-  core::SearchMode search = core::SearchMode::kRanked;
-  /// Ranked alternatives to keep in kRanked mode. OptimizeFlow() rejects
+  /// Ranked alternatives to keep (DESIGN.md §3.4). The search costs plans
+  /// best-first under an admissible bound and stops as soon as the top_k
+  /// cannot change; core::kAllPlans costs and keeps the whole closure (the
+  /// oracle differential tests iterate it). OptimizeFlow() rejects
   /// top_k <= 0 with InvalidArgument.
   int top_k = 8;
   /// Anytime slack (absolute cost units) for the ranked stop rule; 0 keeps
@@ -57,13 +55,6 @@ struct OptimizeOptions {
   /// cost for a different cluster than the one Run() simulates. When set,
   /// OptimizeFlow() rejects caller-supplied weights that contradict exec.
   bool cost_model_follows_exec = true;
-
-  /// Worker threads for costing the enumerated alternatives (streamed
-  /// through a bounded queue, deterministically ranked — see
-  /// core::BlackBoxOptimizer::Options::num_threads). 0 (the default)
-  /// inherits exec.num_threads, so one knob drives both phases; set
-  /// explicitly to use different costing and execution parallelism.
-  int num_threads = 0;
 };
 
 /// An optimized, runnable program: the annotated flow plus all ranked
@@ -76,19 +67,19 @@ class OptimizedProgram {
   const dataflow::DataFlow& flow() const { return *flow_; }
   const dataflow::AnnotatedFlow& annotated() const { return res().annotated; }
 
-  /// The ranked alternatives, ascending (cost, chain count, canonical form).
-  /// kRanked search: the top_k best; kClosure: every costed alternative.
+  /// The ranked alternatives, ascending (cost, chain count, canonical form):
+  /// the top_k best, or every alternative under top_k = core::kAllPlans.
   const std::vector<core::PlannedAlternative>& ranked() const {
     return res().ranked;
   }
-  /// Plans discovered by the search (kClosure: the closure size).
+  /// Plans discovered by the search (the closure size under kAllPlans).
   size_t num_alternatives() const { return res().num_alternatives; }
-  /// Plans fully costed (== num_alternatives in kClosure mode).
+  /// Plans fully costed (== num_alternatives under kAllPlans).
   size_t plans_enumerated() const { return res().plans_enumerated; }
-  /// Ranked search only: plans discovered but pruned by the lower bound.
+  /// Plans discovered but pruned by the lower bound.
   size_t plans_pruned() const { return res().plans_pruned; }
-  /// Ranked search only: the anytime stop rule fired — the fast path, not an
-  /// error (the top-k is exact over the discovered space).
+  /// The anytime stop rule fired — the fast path, not an error (the top-k
+  /// is exact over the discovered space).
   bool stopped_early() const { return res().stopped_early; }
   /// True if enumeration hit EnumOptions::max_plans: ranked() covers only a
   /// partial closure and the true optimum may be missing. OptimizeFlow()

@@ -1,6 +1,7 @@
 #include "common/task_pool.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace blackbox {
 
@@ -51,11 +52,6 @@ void TaskPool::WorkerLoop() {
   }
 }
 
-void TaskPool::Enqueue(std::function<void()> task, int priority) {
-  std::lock_guard<std::mutex> lock(mu_);
-  (priority > 0 ? priority_queue_ : queue_).push_back(std::move(task));
-}
-
 void TaskPool::ParallelFor(size_t n, const std::function<void(size_t)>& body,
                            int priority) {
   if (n == 0) return;
@@ -98,19 +94,6 @@ void TaskPool::ParallelFor(size_t n, const std::function<void(size_t)>& body,
   state->cv.wait(lock, [&] { return state->done.load() == n; });
   // Helper lambdas hold shared_ptr copies of the state, so stragglers that
   // wake after completion see a valid (exhausted) counter and exit.
-}
-
-std::future<void> TaskPool::Submit(std::function<void()> task, int priority) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  if (num_threads_ == 1) {
-    (*packaged)();
-    return future;
-  }
-  Enqueue([packaged] { (*packaged)(); }, priority);
-  cv_.notify_one();
-  return future;
 }
 
 }  // namespace blackbox

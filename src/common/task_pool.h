@@ -1,15 +1,14 @@
-// Shared concurrency substrate (DESIGN.md §2.1): a fixed worker pool with
-// ParallelFor / futures plus a bounded MPMC queue for producer/consumer
-// stages. Both the execution engine (per-partition operator work) and the
-// optimizer (costing enumerated alternatives) run on this layer.
+// Shared concurrency substrate (DESIGN.md §2.1): a fixed worker pool whose
+// one operation is ParallelFor. The execution engine runs its per-partition
+// operator work on it, and the serving layer shares one pool across the
+// concurrent queries' drivers.
 //
 // Determinism contract: the pool schedules work in an unspecified order, so
 // callers must make results independent of completion order — write into
 // per-index slots, keep per-task state task-local, and merge in index order
-// after Wait/ParallelFor returns. Under that discipline a computation's
-// results are bit-identical for every pool size, which is what the engine's
-// byte-identical-output guarantee and the optimizer's stable ranking build
-// on (DESIGN.md §2.1).
+// after ParallelFor returns. Under that discipline a computation's results
+// are bit-identical for every pool size, which is what the engine's
+// byte-identical-output guarantee builds on (DESIGN.md §2.1).
 
 #ifndef BLACKBOX_COMMON_TASK_POOL_H_
 #define BLACKBOX_COMMON_TASK_POOL_H_
@@ -18,9 +17,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -52,14 +49,8 @@ class TaskPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                    int priority = 0);
 
-  /// Enqueues one task for the workers; `priority` > 0 jumps the queue.
-  /// Pool-size 1 runs it inline before returning (the future is already
-  /// ready).
-  std::future<void> Submit(std::function<void()> task, int priority = 0);
-
  private:
   void WorkerLoop();
-  void Enqueue(std::function<void()> task, int priority);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
@@ -70,53 +61,6 @@ class TaskPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool shutdown_ = false;
-};
-
-/// Bounded multi-producer/multi-consumer queue: Push blocks when full, Pop
-/// blocks when empty and returns nullopt once the queue is closed and
-/// drained. Used to stream enumerated plan alternatives into concurrent
-/// costing without materializing a barrier between the stages.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity ? capacity : 1) {}
-
-  /// False if the queue was closed before the item could be enqueued.
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Wakes all blocked producers/consumers; Pops drain remaining items.
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
- private:
-  const size_t capacity_;
-  std::deque<T> items_;
-  std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  bool closed_ = false;
 };
 
 }  // namespace blackbox

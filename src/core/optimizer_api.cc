@@ -1,16 +1,8 @@
 #include "core/optimizer_api.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
-#include <mutex>
 #include <utility>
-#include <vector>
-
-#include "common/task_pool.h"
 
 namespace blackbox {
 namespace core {
@@ -32,31 +24,28 @@ StatusOr<OptimizationResult> BlackBoxOptimizer::Optimize(
   return OptimizeAnnotated(std::move(af).value());
 }
 
-namespace {
+StatusOr<OptimizationResult> BlackBoxOptimizer::OptimizeAnnotated(
+    dataflow::AnnotatedFlow annotated) const {
+  if (options_.top_k <= 0) {
+    return Status::InvalidArgument(
+        "Options::top_k must be positive (got " +
+        std::to_string(options_.top_k) + ")");
+  }
+  if (options_.cost_epsilon < 0) {
+    return Status::InvalidArgument(
+        "Options::cost_epsilon must be non-negative (got " +
+        std::to_string(options_.cost_epsilon) + ")");
+  }
 
-/// One costed alternative before ranking: its discovery index, the costed
-/// plan, and its canonical form (the deterministic tie-break key).
-struct CostedSlot {
-  PlannedAlternative alt;
-  std::string canonical;
-  Status status = Status::OK();
-  bool filled = false;
-};
-
-/// kRanked: delegate to the best-first search and adapt its result. Serial
-/// and deterministic; num_threads is irrelevant here.
-StatusOr<OptimizationResult> OptimizeRankedImpl(
-    const BlackBoxOptimizer::Options& options,
-    dataflow::AnnotatedFlow annotated) {
   OptimizationResult result;
   result.annotated = std::move(annotated);
 
   enumerate::RankedOptions ropts;
-  ropts.top_k = static_cast<size_t>(options.top_k);
-  ropts.cost_epsilon = options.cost_epsilon;
-  ropts.max_plans = options.enum_options.max_plans;
+  ropts.top_k = static_cast<size_t>(options_.top_k);
+  ropts.cost_epsilon = options_.cost_epsilon;
+  ropts.max_plans = options_.enum_options.max_plans;
   StatusOr<enumerate::RankedResult> ranked =
-      enumerate::RankedEnumerate(result.annotated, options.weights, ropts);
+      enumerate::RankedEnumerate(result.annotated, options_.weights, ropts);
   if (!ranked.ok()) return ranked.status();
 
   result.plans_enumerated = ranked->plans_enumerated;
@@ -74,161 +63,6 @@ StatusOr<OptimizationResult> OptimizeRankedImpl(
     out.physical = std::move(alt.physical);
     out.rank = static_cast<int>(result.ranked.size()) + 1;
     result.ranked.push_back(std::move(out));
-  }
-  if (result.ranked.empty()) {
-    if (result.truncated) {
-      return Status::OutOfRange(
-          "optimization produced zero alternatives: EnumOptions::max_plans "
-          "pruned everything");
-    }
-    return Status::InvalidArgument("optimization produced zero alternatives");
-  }
-  return result;
-}
-
-}  // namespace
-
-StatusOr<OptimizationResult> BlackBoxOptimizer::OptimizeAnnotated(
-    dataflow::AnnotatedFlow annotated) const {
-  if (options_.top_k <= 0) {
-    return Status::InvalidArgument(
-        "Options::top_k must be positive (got " +
-        std::to_string(options_.top_k) + ")");
-  }
-  if (options_.cost_epsilon < 0) {
-    return Status::InvalidArgument(
-        "Options::cost_epsilon must be non-negative (got " +
-        std::to_string(options_.cost_epsilon) + ")");
-  }
-  if (options_.search == SearchMode::kRanked) {
-    return OptimizeRankedImpl(options_, std::move(annotated));
-  }
-
-  OptimizationResult result;
-  result.annotated = std::move(annotated);
-
-  // Streaming enumerate+cost: the enumerator (this thread) pushes each
-  // discovered alternative through a bounded queue into a pool of costing
-  // workers, so costing overlaps enumeration instead of waiting behind a
-  // materialize-then-cost barrier. Each alternative's result lands in its
-  // discovery-index slot; ranking afterwards is a deterministic sort, so the
-  // outcome is identical for every num_threads.
-  struct CostJob {
-    size_t index;
-    reorder::PlanPtr plan;
-  };
-
-  TaskPool pool(options_.num_threads);
-  std::vector<CostedSlot> slots;
-  std::mutex slots_mu;  // guards the slots vector's size; each slot has one writer
-  std::atomic<int64_t> costing_nanos{0};  // aggregate across costing workers
-
-  auto cost_into_slot = [&](const CostJob& job) {
-    auto c0 = std::chrono::steady_clock::now();
-    StatusOr<optimizer::PhysicalPlan> phys = optimizer::OptimizePhysical(
-        result.annotated, job.plan, options_.weights);
-    costing_nanos.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - c0)
-                                .count(),
-                            std::memory_order_relaxed);
-    CostedSlot slot;
-    if (phys.ok()) {
-      slot.alt.logical = job.plan;
-      slot.alt.cost = phys->total_cost;
-      slot.alt.physical = std::move(phys).value();
-      slot.canonical = reorder::CanonicalString(job.plan);
-    } else {
-      slot.status = phys.status();
-    }
-    slot.filled = true;
-    std::lock_guard<std::mutex> lock(slots_mu);
-    if (slots.size() <= job.index) slots.resize(job.index + 1);
-    slots[job.index] = std::move(slot);
-  };
-
-  auto t0 = std::chrono::steady_clock::now();
-  StatusOr<enumerate::EnumResult> enum_result =
-      Status::Internal("enumeration did not run");
-  double enum_wall_seconds = 0;  // parallel path: span of the enumerator only
-  if (pool.num_threads() == 1) {
-    // Serial path: cost inline as plans stream out of the enumerator.
-    enum_result = enumerate::EnumerateAlternatives(
-        result.annotated, options_.enum_options,
-        [&](const reorder::PlanPtr& plan, size_t index) {
-          cost_into_slot(CostJob{index, plan});
-        });
-  } else {
-    BoundedQueue<CostJob> queue(4 * static_cast<size_t>(pool.num_threads()));
-    auto consume = [&] {
-      while (std::optional<CostJob> job = queue.Pop()) {
-        cost_into_slot(*job);
-      }
-    };
-    // The calling thread enumerates (and produces); the pool's worker
-    // threads consume concurrently.
-    std::vector<std::future<void>> workers;
-    workers.reserve(pool.num_threads() - 1);
-    for (int i = 0; i < pool.num_threads() - 1; ++i) {
-      workers.push_back(pool.Submit(consume));
-    }
-    enum_result = enumerate::EnumerateAlternatives(
-        result.annotated, options_.enum_options,
-        [&](const reorder::PlanPtr& plan, size_t index) {
-          queue.Push(CostJob{index, plan});
-        });
-    // The enumerator is done here; everything after is costing tail-drain.
-    enum_wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    queue.Close();
-    consume();  // help drain the tail once enumeration is done
-    for (std::future<void>& w : workers) w.wait();
-  }
-  if (!enum_result.ok()) return enum_result.status();
-  auto t1 = std::chrono::steady_clock::now();
-  // Enumeration and costing overlap in the streaming stage. costing_seconds
-  // is the aggregate time inside OptimizePhysical across workers;
-  // enumeration_seconds is the enumerator's own wall time — serial: stage
-  // span minus the inline costing; parallel: the span up to the point the
-  // enumerator finished (excluding this thread's tail-drain costing).
-  double stage_seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.costing_seconds = static_cast<double>(costing_nanos.load()) * 1e-9;
-  result.enumeration_seconds =
-      pool.num_threads() == 1
-          ? std::max(0.0, stage_seconds - result.costing_seconds)
-          : enum_wall_seconds;
-  result.num_alternatives = enum_result->plans.size();
-  result.plans_enumerated = enum_result->plans.size();
-  result.truncated = enum_result->truncated;
-
-  // Deterministic error reporting: the lowest-index failure wins, regardless
-  // of completion order.
-  for (const CostedSlot& slot : slots) {
-    if (slot.filled && !slot.status.ok()) return slot.status;
-  }
-
-  std::vector<CostedSlot> costed;
-  costed.reserve(slots.size());
-  for (CostedSlot& slot : slots) {
-    if (slot.filled) costed.push_back(std::move(slot));
-  }
-
-  // Rank by cost, then by chain count (fewer pipeline breakers win cost
-  // ties — the chain-aware tie-break shared with the ranked search), then by
-  // canonical plan form, so equal-cost alternatives order identically for
-  // every thread count AND for both search modes.
-  std::sort(costed.begin(), costed.end(),
-            [](const CostedSlot& a, const CostedSlot& b) {
-              if (a.alt.cost != b.alt.cost) return a.alt.cost < b.alt.cost;
-              if (a.alt.physical.num_chains != b.alt.physical.num_chains) {
-                return a.alt.physical.num_chains < b.alt.physical.num_chains;
-              }
-              return a.canonical < b.canonical;
-            });
-  result.ranked.reserve(costed.size());
-  for (CostedSlot& slot : costed) result.ranked.push_back(std::move(slot.alt));
-  for (size_t i = 0; i < result.ranked.size(); ++i) {
-    result.ranked[i].rank = static_cast<int>(i) + 1;
   }
   if (result.ranked.empty()) {
     if (result.truncated) {

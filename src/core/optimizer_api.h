@@ -1,8 +1,8 @@
 // BlackBoxOptimizer — the public entry point tying the pipeline together
 // (paper Section 3): annotate the flow's UDFs (static code analysis or manual
-// annotations), enumerate every valid reordered alternative (Section 6),
-// cost each alternative with the physical optimizer (Section 7.1), and return
-// the ranked plan list.
+// annotations), search the valid reordered alternatives (Section 6) best-first,
+// cost them with the physical optimizer (Section 7.1), and return the ranked
+// plan list — the top_k best, or every alternative under top_k = kAllPlans.
 //
 // Typical use:
 //
@@ -17,6 +17,7 @@
 #ifndef BLACKBOX_CORE_OPTIMIZER_API_H_
 #define BLACKBOX_CORE_OPTIMIZER_API_H_
 
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -30,18 +31,12 @@
 namespace blackbox {
 namespace core {
 
-/// How the plan space is explored (DESIGN.md §3.4).
-enum class SearchMode {
-  /// Best-first anytime search: cost plans in lower-bound order, stop once
-  /// the top-k can no longer change (within cost_epsilon). The default —
-  /// optimize latency scales with the answer, not the closure.
-  kRanked,
-  /// Materialize the full reorder closure and cost every member (the
-  /// pre-PR 7 behavior). The oracle mode: differential tests iterate it to
-  /// validate the ranked search, and the bench figures keep using it so
-  /// "ranked list" retains its full-closure meaning there.
-  kClosure,
-};
+/// `Options::top_k` that keeps every discovered plan: the anytime stop rule
+/// can never fire, so the ranked search costs the whole reorder closure
+/// (DESIGN.md §3.4). The oracle configuration — differential tests iterate
+/// it, and the bench figures use it so "ranked list" keeps its full-closure
+/// meaning there.
+inline constexpr int kAllPlans = std::numeric_limits<int>::max();
 
 /// One costed alternative.
 struct PlannedAlternative {
@@ -54,27 +49,26 @@ struct PlannedAlternative {
 struct OptimizationResult {
   dataflow::AnnotatedFlow annotated;
   std::vector<PlannedAlternative> ranked;  // ascending (cost, chains, form)
-  /// Plans DISCOVERED by the search (kClosure: the closure size; kRanked:
-  /// plans_enumerated + plans_pruned).
+  /// Plans DISCOVERED by the search: plans_enumerated + plans_pruned (the
+  /// closure size under top_k = kAllPlans).
   size_t num_alternatives = 0;
-  /// Plans fully costed. kClosure: equals num_alternatives.
+  /// Plans fully costed (== num_alternatives under top_k = kAllPlans).
   size_t plans_enumerated = 0;
-  /// kRanked only: plans discovered but never costed — their lower bound
-  /// could not displace the top-k.
+  /// Plans discovered but never costed — their lower bound could not
+  /// displace the top-k.
   size_t plans_pruned = 0;
-  /// kRanked only: the anytime stop rule fired before the frontier drained.
-  /// This is the expected fast path, NOT truncation: the top-k is exact over
-  /// the discovered space.
+  /// The anytime stop rule fired before the frontier drained. This is the
+  /// expected fast path, NOT truncation: the top-k is exact over the
+  /// discovered space.
   bool stopped_early = false;
   /// EnumOptions::max_plans was hit: `ranked` covers a partial closure only
   /// (the true optimum may be missing). Never silently dropped — the api
   /// layer warns when this is set.
   bool truncated = false;
-  /// Wall time of the enumerator itself (the streaming enumerate+cost stage
-  /// minus time spent inside physical costing on this thread).
+  /// Wall time of the search itself (neighbor generation, bounds, frontier
+  /// bookkeeping): the search's span minus the time inside physical costing.
   double enumeration_seconds = 0;
-  /// Aggregate time spent inside physical costing, summed across costing
-  /// workers — with N threads this can exceed the stage's wall time.
+  /// Wall time spent inside physical costing.
   double costing_seconds = 0;
 
   /// The cheapest alternative. Optimize() guarantees at least one entry, so
@@ -90,20 +84,12 @@ class BlackBoxOptimizer {
     optimizer::CostWeights weights;
     enumerate::EnumOptions enum_options;
 
-    /// Plan-space exploration strategy; see SearchMode.
-    SearchMode search = SearchMode::kRanked;
-    /// kRanked: ranked alternatives to return (rejected if <= 0).
+    /// Ranked alternatives to return (rejected if <= 0); kAllPlans costs
+    /// and returns the whole closure.
     int top_k = 8;
-    /// kRanked: anytime slack in absolute cost units (rejected if negative).
-    /// 0 keeps the top-k exact over the discovered space, cost ties included.
+    /// Anytime slack in absolute cost units (rejected if negative). 0 keeps
+    /// the top-k exact over the discovered space, cost ties included.
     double cost_epsilon = 0;
-
-    /// Worker threads for costing enumerated alternatives in kClosure mode
-    /// (streamed through a bounded queue; no enumerate-then-cost barrier).
-    /// The ranked search is serial by construction — its pop order IS the
-    /// algorithm — so kRanked ignores this. Either way the final ranking is
-    /// deterministic for every thread count.
-    int num_threads = 1;
   };
 
   BlackBoxOptimizer() : options_(Options()) {}

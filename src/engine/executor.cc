@@ -37,10 +37,8 @@ namespace {
 /// breaker's input or output.
 using Partitions = std::vector<std::unique_ptr<SpillableBuffer>>;
 
-/// Compacts a wide (global-layout) record onto the sink schema. The single
-/// definition of sink projection: used by the fused chain's sink stage and
-/// by the unfused gather, whose outputs the differential contract requires
-/// to be byte-identical.
+/// Compacts a wide (global-layout) record onto the sink schema: the sink
+/// stage every plan's root chain ends in.
 Record ProjectToSinkSchema(const Record& wide,
                            const std::vector<AttrId>& sink_schema) {
   Record compact;
@@ -111,15 +109,16 @@ CallInputs RecordInputs(size_t n) {
   return ci;
 }
 
-/// Per-partition chain executor: the producer (scan or breaker) pushes its
-/// emitted records here; full batches are pulled through every stage in one
-/// pass and the final stage's output lands in the chain's materialized
-/// output buffer. In-flight records between stages are plain vectors — their
-/// serialized sizes are cached exactly once, at the terminal write into the
-/// output buffer (the only place byte meters ever read them). All state —
-/// the pending buffer, the ping-pong scratch buffers (cleared, never shrunk:
-/// arena reuse across flushes), one Interpreter per Map stage — is owned by
-/// one partition task (DESIGN.md §2.1).
+/// Per-partition chain executor: the producer (scan, breaker, or a cut
+/// chain's restreamed input) pushes its emitted records here; full batches
+/// are pulled through every stage in one pass and the final stage's output
+/// lands in the chain's materialized output buffer. In-flight records
+/// between stages are plain vectors — their serialized sizes are cached
+/// exactly once, at the terminal write into the output buffer (the only
+/// place byte meters ever read them). All state — the pending buffer, the
+/// ping-pong scratch buffers (cleared, never shrunk: arena reuse across
+/// flushes), one Interpreter per Map stage — is owned by one partition task
+/// (DESIGN.md §2.1).
 class ChainRunner {
  public:
   ChainRunner(const ChainPlan* plan, size_t capacity, SpillableBuffer* out,
@@ -212,8 +211,8 @@ class ChainRunner {
           meters_->cpu_burn_units += rs.cpu_burn_units;
           BLACKBOX_RETURN_NOT_OK(st);
         } else {
-          // Sink projection stage (unmetered in both modes, like the
-          // unfused gather-time projection it replaces).
+          // Sink projection stage: a field copy that runs no UDF, so it
+          // is unmetered.
           for (const Record& wide : *cur) {
             next->push_back(ProjectToSinkSchema(wide, s.sink_schema));
           }
@@ -327,51 +326,49 @@ class ExecContext {
   }
 
   /// Executes the chain whose top is `top`: collects the run of streaming
-  /// stages (fused mode), then dispatches on the chain's producer. Returns
-  /// the chain's materialized output — the only materialization between this
-  /// producer and the next breaker above.
+  /// stages, then dispatches on the chain's producer. Returns the chain's
+  /// materialized output — the only materialization between this producer
+  /// and the next breaker above. With fuse_chains off ("--no-chain") every
+  /// chain is cut after its first stage: the cut chain's producer is its
+  /// child's materialized output (Restream), and it is never specialized.
   StatusOr<Partitions> Exec(const PhysicalNode& top) {
     ChainPlan plan;
     std::vector<ChainStage>& stages = plan.stages;  // collected top-down
     const PhysicalNode* n = &top;
-    if (options_.fuse_chains) {
-      while (optimizer::IsStreamingStage(af_.flow->op(n->op_id), *n)) {
-        stages.push_back(MakeStage(*n));
-        n = n->children[0].get();
-      }
-      // Stages apply bottom-up from the producer.
-      std::reverse(stages.begin(), stages.end());
-      if (options_.enable_chain_specialization) TryFuse(&plan);
-      if (options_.enable_data_skipping) {
-        if (plan.fused) {
-          // One refuter over the whole fused program; its reads are global
-          // positions, so the identity translation is the right frame.
-          plan.fused_refuter = sca::BatchRefuter::Make(plan.fused->fn,
-                                                       plan.fused_translation);
-        } else {
-          // Built only now: the refuter borrows the stage's own translation,
-          // so the vector must not grow (or be copied) afterwards.
-          for (ChainStage& s : stages) {
-            if (s.op != nullptr && s.op->udf != nullptr) {
-              s.refuter = sca::BatchRefuter::Make(*s.op->udf, s.translation);
-            }
+    while (optimizer::IsStreamingStage(af_.flow->op(n->op_id), *n)) {
+      stages.push_back(MakeStage(*n));
+      n = n->children[0].get();
+      if (!options_.fuse_chains) break;
+    }
+    // Stages apply bottom-up from the producer.
+    std::reverse(stages.begin(), stages.end());
+    if (options_.fuse_chains && options_.enable_chain_specialization) {
+      TryFuse(&plan);
+    }
+    if (options_.enable_data_skipping) {
+      if (plan.fused) {
+        // One refuter over the whole fused program; its reads are global
+        // positions, so the identity translation is the right frame.
+        plan.fused_refuter = sca::BatchRefuter::Make(plan.fused->fn,
+                                                     plan.fused_translation);
+      } else {
+        // Built only now: the refuter borrows the stage's own translation,
+        // so the vector must not grow (or be copied) afterwards.
+        for (ChainStage& s : stages) {
+          if (s.op != nullptr && s.op->udf != nullptr) {
+            s.refuter = sca::BatchRefuter::Make(*s.op->udf, s.translation);
           }
         }
       }
     }
+    if (!options_.fuse_chains && !stages.empty()) return Restream(*n, plan);
     const dataflow::Operator& op = af_.flow->op(n->op_id);
     switch (op.kind) {
       case OpKind::kSource:
         return Scan(*n, plan);
-      case OpKind::kSink: {
-        // Unfused mode only (a forward-shipped sink is always a stage when
-        // fusing): projection to the sink schema happens in Execute().
-        StatusOr<Partitions> in = Exec(*n->children[0]);
-        if (!in.ok()) return in.status();
-        return in;
-      }
       case OpKind::kMap:
-        return ExecMap(*n, op, plan);
+      case OpKind::kSink:
+        break;  // always chain stages (forward-shipped by the planner)
       case OpKind::kReduce:
         return ExecReduce(*n, op, plan);
       case OpKind::kMatch:
@@ -428,10 +425,6 @@ class ExecContext {
     if (stats_) stats_->fused_chains++;
   }
 
-  /// True if the executed chains already projected the sink output (the
-  /// root chain contained the sink stage), so Execute() must not re-project.
-  bool sink_projected() const { return sink_projected_; }
-
   /// The peak-memory meter (DESIGN.md §2.3): the highest in-memory buffer
   /// footprint any single instance reached. Each instance's ledger is
   /// touched only by its own partition task or the serial shuffle, so the
@@ -462,7 +455,6 @@ class ExecContext {
     if (op.kind == OpKind::kSink) {
       const OpProperties& p = af_.of(node.op_id);
       s.sink_schema.assign(p.out_schema.begin(), p.out_schema.end());
-      sink_projected_ = true;
     } else {
       s.op = &op;
       s.translation = MakeTranslation(node);
@@ -680,46 +672,24 @@ class ExecContext {
     return Status::OK();
   }
 
-  /// Unfused Map (fuse_chains off, or a defensively non-forward ship): one
-  /// materialized pass, the pre-streaming behavior.
-  StatusOr<Partitions> ExecMap(const PhysicalNode& node,
-                               const dataflow::Operator& op,
-                               const ChainPlan& chain) {
-    StatusOr<Partitions> in_or = Exec(*node.children[0]);
+  /// The producer of a cut chain (--no-chain): each partition of `child`'s
+  /// materialized output streams through the chain's one stage. A stage is
+  /// forward-shipped by definition, so no Ship runs in between.
+  StatusOr<Partitions> Restream(const PhysicalNode& child,
+                                const ChainPlan& chain) {
+    StatusOr<Partitions> in_or = Exec(child);
     if (!in_or.ok()) return in_or.status();
-    StatusOr<Partitions> shipped =
-        Ship(std::move(in_or).value(), node.ships[0], {});
-    if (!shipped.ok()) return shipped.status();
-    Partitions in = std::move(shipped).value();
-    FieldTranslation t = MakeTranslation(node);
-    // Unfused batch skipping: each materialized input batch builds its
-    // sketch on demand for the refutation.
-    std::optional<sca::BatchRefuter> refuter;
-    if (options_.enable_data_skipping && op.udf != nullptr) {
-      refuter = sca::BatchRefuter::Make(*op.udf, t);
-    }
+    Partitions in = std::move(in_or).value();
     Partitions out = NewPartitions();
     Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
-      Interpreter interp(op.udf.get());  // task-local interpreter
-      Interpreter::CallState state;
-      CallInputs ci = RecordInputs(1);
       ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
                          meters, options_.cancel);
       BatchPool pool;
-      std::vector<Record> emitted;
       BLACKBOX_RETURN_NOT_OK(in[pi]->DrainBatches(
           meters, &pool, [&](RecordBatch&& b) -> Status {
-            if (refuter && refuter->RefutesEmit(SketchRanges(b.sketch()))) {
-              ++meters->skipped_batches;
-              pool.Release(std::move(b));
-              return Status::OK();
-            }
             for (size_t i = 0; i < b.size(); ++i) {
-              ci.groups[0][0] = &b.record(i);
               BLACKBOX_RETURN_NOT_OK(
-                  CallUdf(interp, state, ci, t, &emitted, meters));
-              meters->records_processed++;
-              BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
+                  runner.Push(std::move(b.mutable_record(i))));
             }
             pool.Release(std::move(b));
             return Status::OK();
@@ -1303,7 +1273,6 @@ class ExecContext {
   const ExecOptions& options_;
   TaskPool* pool_;
   ExecStats* stats_;
-  bool sink_projected_ = false;
   /// Shared spill-file factory (thread-safe) and one byte ledger per
   /// simulated instance: the spill manager layer (DESIGN.md §2.3).
   SpillManager spill_;
@@ -1376,13 +1345,12 @@ StatusOr<DataSet> Executor::Execute(const optimizer::PhysicalPlan& plan,
   if (!out.ok()) return out.status();
 
   // Gather in partition index order — the canonical output order for every
-  // thread count. With a fused root chain the sink projection already ran
-  // inside the chain; otherwise project onto the sink schema here so
-  // alternative plans of the same flow produce directly comparable records.
-  // Root buffers that spilled under the budget are streamed back from disk
+  // thread count. The root chain ends in the sink stage, so its output
+  // records ARE the final records, already projected onto the sink schema:
+  // reuse their cached sizes instead of re-walking every payload. Root
+  // buffers that spilled under the budget are streamed back from disk
   // (metered) — the gathered DataSet is the client-side result, outside the
   // budget's scope like the bound sources.
-  const OpProperties& sink = af_->of(plan.root->op_id);
   ExecStats gather;
   BatchPool pool;
   DataSet result;
@@ -1390,14 +1358,8 @@ StatusOr<DataSet> Executor::Execute(const optimizer::PhysicalPlan& plan,
     Status st = part->DrainBatches(
         &gather, &pool, [&](RecordBatch&& b) -> Status {
           for (size_t i = 0; i < b.size(); ++i) {
-            if (ctx.sink_projected()) {
-              // Chain output records ARE the final records: reuse their
-              // cached sizes instead of re-walking every payload.
-              result.AddWithSize(std::move(b.mutable_record(i)),
-                                 b.record_bytes(i));
-              continue;
-            }
-            result.Add(ProjectToSinkSchema(b.record(i), sink.out_schema));
+            result.AddWithSize(std::move(b.mutable_record(i)),
+                               b.record_bytes(i));
           }
           pool.Release(std::move(b));
           return Status::OK();

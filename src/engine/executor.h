@@ -122,10 +122,11 @@ struct ExecOptions {
   int num_threads = 1;
 
   /// Fused operator chains (the default). When false ("--no-chain"), every
-  /// plan node materializes its full output before the next starts — the
-  /// pre-streaming data plane, kept as the differential reference: sink
-  /// output, byte meters, and simulated_seconds are byte-identical in both
-  /// modes; only peak_bytes (and wall time) may differ — see DESIGN.md §2.2.
+  /// chain is cut after its first stage, so every plan node materializes its
+  /// full output before the next starts — the pre-streaming data plane, kept
+  /// as the differential reference: sink output, byte meters, and
+  /// simulated_seconds are byte-identical in both modes; only peak_bytes
+  /// (and wall time) may differ — see DESIGN.md §2.2.
   bool fuse_chains = true;
 
   /// Records per RecordBatch flowing through a chain. Any value >= 1
@@ -195,8 +196,8 @@ struct ExecStats {
   int64_t output_rows = 0;
 
   /// Whole batches refuted by a zone-map sketch and skipped without
-  /// interpreting a record (fused chain stages, unfused Map inputs, and
-  /// in-memory build batches a probe batch's key range cannot match).
+  /// interpreting a record (chain stages, and in-memory build batches a
+  /// probe batch's key range cannot match).
   int64_t skipped_batches = 0;
 
   /// File bytes of spilled build-side runs NOT read back because the run

@@ -126,8 +126,7 @@ void PlanNeighbors(const PlanPtr& node, const dataflow::DataFlow& flow,
 }
 
 StatusOr<EnumResult> EnumerateAlternatives(const dataflow::AnnotatedFlow& af,
-                                           const EnumOptions& options,
-                                           const PlanSink& sink) {
+                                           const EnumOptions& options) {
   const dataflow::DataFlow& flow = *af.flow;
   ReorderOracle oracle(&af);
   EnumResult result;
@@ -142,7 +141,6 @@ StatusOr<EnumResult> EnumerateAlternatives(const dataflow::AnnotatedFlow& af,
   seen.insert(CanonicalString(original));
   work.push_back(original);
   result.plans.push_back(original);
-  if (sink) sink(original, 0);
 
   while (!work.empty() && !result.truncated) {
     PlanPtr plan = std::move(work.front());
@@ -157,7 +155,6 @@ StatusOr<EnumResult> EnumerateAlternatives(const dataflow::AnnotatedFlow& af,
           result.truncated = true;
           break;
         }
-        if (sink) sink(n, result.plans.size());
         result.plans.push_back(n);
         work.push_back(n);
       }

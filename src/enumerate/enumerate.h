@@ -1,10 +1,12 @@
 // Plan-space enumeration (Section 6). Two implementations:
 //
-// 1. EnumerateAlternatives — the production enumerator: computes the closure
-//    of the initial plan under all valid pairwise reorderings (unary swaps,
-//    unary/binary pushes, binary rotations) with canonical-form
-//    deduplication. Handles arbitrary tree-shaped flows with binary
-//    operators, like the paper's implementation.
+// 1. EnumerateAlternatives — the reference closure: a BFS of the initial
+//    plan under all valid pairwise reorderings (unary swaps, unary/binary
+//    pushes, binary rotations) with canonical-form deduplication. Handles
+//    arbitrary tree-shaped flows with binary operators, like the paper's
+//    implementation. The optimizer itself searches the same edges
+//    best-first (ranked.h); the enumeration tests compare that search's
+//    plan set against this independent BFS.
 //
 // 2. EnumerateChainAlgorithm1 — a faithful transcription of the paper's
 //    Algorithm 1 (recursive root-removal with a memo table), restricted to
@@ -15,7 +17,6 @@
 #define BLACKBOX_ENUMERATE_ENUMERATE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -28,7 +29,10 @@ namespace enumerate {
 struct EnumOptions {
   /// Safety valve against search-space explosions. Hitting the limit stops
   /// enumeration and marks the result truncated (it is NOT an error): the
-  /// returned plans are a valid but partial closure.
+  /// returned plans are a valid but partial closure. EnumerateAlternatives
+  /// keeps the first max_plans plans in BFS order; the optimizer's ranked
+  /// search keeps the first max_plans it discovers best-first (see
+  /// RankedOptions::max_plans), so the two keep different subsets.
   size_t max_plans = 1'000'000;
 };
 
@@ -39,18 +43,10 @@ struct EnumResult {
   bool truncated = false;               // max_plans hit; partial closure
 };
 
-/// Called once per discovered alternative, in discovery order, with its
-/// position in EnumResult::plans. Lets the caller overlap downstream work
-/// (costing) with enumeration instead of waiting for the full closure.
-using PlanSink = std::function<void(const reorder::PlanPtr&, size_t index)>;
-
 /// Enumerates all data flows derivable from the original flow by valid
-/// pairwise reorderings (closure semantics). If `sink` is non-null it is
-/// invoked synchronously for every plan as it is discovered (including the
-/// original at index 0), before the function returns.
+/// pairwise reorderings (closure semantics), in BFS discovery order.
 StatusOr<EnumResult> EnumerateAlternatives(const dataflow::AnnotatedFlow& af,
-                                           const EnumOptions& options = {},
-                                           const PlanSink& sink = nullptr);
+                                           const EnumOptions& options = {});
 
 /// Algorithm 1 from the paper, for chains of unary operators. Returns an
 /// error if the flow contains binary operators.

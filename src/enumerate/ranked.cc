@@ -39,9 +39,8 @@ struct Costed {
   RankedAlternative alt;
 };
 
-/// The final ranking order — identical to the closure path's sort in
-/// core::BlackBoxOptimizer, so ranked top-1 and closure top-1 agree even on
-/// cost ties.
+/// The final ranking order: cost, then fewer chains, then canonical form, so
+/// equal-cost plans order deterministically.
 bool CostLess(const Costed& a, const Costed& b) {
   if (a.cost != b.cost) return a.cost < b.cost;
   if (a.num_chains != b.num_chains) return a.num_chains < b.num_chains;

@@ -1,15 +1,14 @@
-// Ranked, anytime plan enumeration (DESIGN.md §3.4). Instead of materializing
-// the full reorder closure and costing every member (enumerate.h +
-// optimizer/physical.h), RankedEnumerate walks the same rewrite graph
+// Ranked, anytime plan enumeration (DESIGN.md §3.4) — the optimizer's one
+// plan search. RankedEnumerate walks the reorder closure's rewrite graph
 // best-first: a frontier of discovered-but-uncosted logical plans ordered by
 // an admissible lower bound (optimizer::LowerBoundCost), popping the most
 // promising plan, costing it fully, and expanding its rewrite neighbors.
 // The search stops as soon as no frontier plan's bound can still displace the
 // current top-k (within cost_epsilon) — the anytime guarantee of "Ranked
 // Enumeration of Join Queries with Projections" (PAPERS.md) adapted to the
-// paper's reorder closure. Equal-cost plans rank by (fewer operator chains,
-// canonical form): fewer chains = fewer pipeline breakers, the chain-aware
-// tie-break carried over from PR 4.
+// paper's reorder closure. With an unbounded top_k the stop rule never fires
+// and the search costs exactly the closure. Equal-cost plans rank by (fewer
+// operator chains, canonical form): fewer chains = fewer pipeline breakers.
 
 #ifndef BLACKBOX_ENUMERATE_RANKED_H_
 #define BLACKBOX_ENUMERATE_RANKED_H_
@@ -28,7 +27,8 @@ namespace enumerate {
 
 struct RankedOptions {
   /// Ranked alternatives to return. The search keeps costing while any
-  /// frontier bound could still enter (or tie into) the top-k.
+  /// frontier bound could still enter (or tie into) the top-k; a top_k at
+  /// least the closure size (core::kAllPlans) costs every discovered plan.
   size_t top_k = 8;
 
   /// Anytime slack: stop once every frontier bound exceeds the current k-th
@@ -37,8 +37,11 @@ struct RankedOptions {
   double cost_epsilon = 0;
 
   /// Safety valve on DISCOVERED plans (frontier inserts), mirroring
-  /// EnumOptions::max_plans. Hitting it marks the result truncated; already
-  /// discovered plans are still costed under the stop rule.
+  /// EnumOptions::max_plans. Hitting it marks the result truncated. The
+  /// search keeps the first max_plans plans it discovers best-first — the
+  /// authored plan is always the first — and still costs them under the
+  /// stop rule; plans discovered later are dropped. This is a different
+  /// subset than EnumerateAlternatives' BFS keeps at the same cap.
   size_t max_plans = 1'000'000;
 };
 
@@ -72,8 +75,9 @@ struct RankedResult {
 /// Exactness contract: every DISCOVERED plan whose bound is <= the k-th best
 /// cost + cost_epsilon is costed before the search stops, so the returned
 /// top-1 matches the full closure's best whenever the bound steers discovery
-/// to it — validated empirically by the ranked-vs-closure differentials
-/// (tests/enum_random_chain_test.cc, tests/plan_equivalence_test.cc).
+/// to it — validated empirically by the differentials against the
+/// independent BFS closure (tests/enum_random_chain_test.cc,
+/// tests/plan_equivalence_test.cc).
 StatusOr<RankedResult> RankedEnumerate(const dataflow::AnnotatedFlow& af,
                                        const optimizer::CostWeights& weights,
                                        const RankedOptions& options = {});

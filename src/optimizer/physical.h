@@ -75,27 +75,14 @@ struct CostWeights {
                              // the engine still performs (and meters) them —
                              // the ablation isolating how much plan quality
                              // the spill term buys (DESIGN.md §2.3)
-  bool enable_data_skipping = true;  // zone-map data skipping in the engine
-                                     // (DESIGN.md §2.5). An execution switch
-                                     // surfaced here for the ablation matrix:
-                                     // the API propagates it into
-                                     // ExecOptions::enable_data_skipping, so
-                                     // one flag flips both estimate and run.
-                                     // No cost term reads it — skipping never
-                                     // changes the byte meters the model
-                                     // prices, only elided CPU work.
-  bool enable_chain_specialization = true;  // fused-chain TAC specialization
-                                            // (DESIGN.md §2.6): Map stages in
-                                            // a fused chain execute as one
-                                            // constant-folded program, so
-                                            // their per-call CPU term is
+  bool enable_chain_specialization = true;  // price fused Map stages as one
+                                            // specialized program (DESIGN.md
+                                            // §2.6): the per-call CPU term is
                                             // discounted (see
-                                            // kSpecializationCpuDiscount). The
-                                            // API propagates it into
-                                            // ExecOptions, so one flag flips
-                                            // both estimate and run. Byte
-                                            // meters are unchanged by
-                                            // construction.
+                                            // kSpecializationCpuDiscount).
+                                            // Estimate only; the engine's
+                                            // switch is ExecOptions'
+                                            // enable_chain_specialization.
 };
 
 /// Fraction of a fused Map stage's per-call CPU cost the model keeps under

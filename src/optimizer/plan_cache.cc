@@ -84,7 +84,7 @@ std::string PlanCacheKey(const dataflow::DataFlow& flow,
                          const std::string& provider_name,
                          const CostWeights& weights,
                          const enumerate::EnumOptions& enum_options,
-                         int search_mode, int top_k, double cost_epsilon) {
+                         int top_k, double cost_epsilon) {
   std::string key;
   key.reserve(1024);
   key += "v1|provider=";
@@ -152,7 +152,6 @@ std::string PlanCacheKey(const dataflow::DataFlow& flow,
   key += "|e=";
   AppendInt(&key, static_cast<int64_t>(enum_options.max_plans));
   key += "|s=";
-  AppendInt(&key, search_mode);
   AppendInt(&key, top_k);
   AppendDouble(&key, cost_epsilon);
   return key;

@@ -3,7 +3,7 @@
 // shape — every operator's kind, keys, hints, source statistics, and a digest
 // of its UDF's TAC code (or manual summary) — combined with the annotation
 // provider's name and every knob that influences plan choice (resolved cost
-// weights, enumeration budget, search mode / top_k / cost_epsilon). Anything
+// weights, enumeration budget, top_k / cost_epsilon). Anything
 // semantically identical hits; anything that could change a single plan or
 // cost misses. Execution-only knobs (thread count, spill directory, serving
 // budget carves) are deliberately NOT part of the key: plans are
@@ -92,13 +92,12 @@ class PlanCache {
 /// Deterministic cache key for optimizing `flow` under the given provider
 /// and knobs. `weights` must be the RESOLVED weights the optimizer will
 /// actually run with (after any cost_model_follows_exec adjustment).
-/// `search_mode`, `top_k`, `cost_epsilon` describe the plan search
-/// (core::SearchMode passed as int to keep this layer core-agnostic).
+/// `top_k` and `cost_epsilon` describe the plan search.
 std::string PlanCacheKey(const dataflow::DataFlow& flow,
                          const std::string& provider_name,
                          const CostWeights& weights,
                          const enumerate::EnumOptions& enum_options,
-                         int search_mode, int top_k, double cost_epsilon);
+                         int top_k, double cost_epsilon);
 
 }  // namespace optimizer
 }  // namespace blackbox

@@ -84,8 +84,9 @@ class RecordBatch {
   /// The zone-map sketch over every record appended since the last Clear
   /// (DESIGN.md §2.5), built on demand: the first call folds the records in,
   /// later calls fold only records appended since. Only skip decisions read
-  /// it (spill-run headers, the unfused Map refuter, block-join probe
-  /// ranges), so batches on the fused in-memory path never pay for one.
+  /// it (spill-run headers, the in-memory batch skip of ForEachBatch,
+  /// block-join probe ranges), so batches on the in-memory chain path never
+  /// pay for one.
   /// Consumers must treat it as an over-approximation of the batch's
   /// contents.
   const ZoneMapSketch& sketch() const {

@@ -1,13 +1,17 @@
-// Tests for the common substrate: Status/StatusOr, deterministic RNG, and
-// string helpers.
+// Tests for the common substrate: Status/StatusOr, deterministic RNG, string
+// helpers, and the TaskPool worker pool (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str_util.h"
+#include "common/task_pool.h"
 
 namespace blackbox {
 namespace {
@@ -133,6 +137,88 @@ TEST(StrUtil, SplitPreservesEmptyTokens) {
   EXPECT_EQ(parts[2], "b");
   EXPECT_EQ(parts[3], "");
   EXPECT_EQ(Split("", ',').size(), 1u);
+}
+
+// --- TaskPool ------------------------------------------------------------
+
+TEST(TaskPool, ParallelForVisitsEveryIndexExactlyOnce) {
+  for (int threads : {1, 2, 8}) {
+    TaskPool pool(threads);
+    for (size_t n : {0u, 1u, 7u, 1000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.ParallelFor(n, [&](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "pool " << threads << ", n " << n << ", index " << i;
+      }
+    }
+  }
+}
+
+TEST(TaskPool, SingleThreadPoolRunsInlineInIndexOrder) {
+  TaskPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  pool.ParallelFor(100, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+// Concurrent callers on one pool, the way QueryServer drivers share theirs:
+// every call completes and visits each of its indices exactly once.
+TEST(TaskPool, ConcurrentCallersEachSeeEveryIndexOnce) {
+  TaskPool pool(3);
+  constexpr size_t kN = 500;
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 20;
+  std::atomic<int> bad_counts{0};
+  std::atomic<int> calls_done{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(kN);
+        pool.ParallelFor(kN, [&](size_t i) { hits[i].fetch_add(1); });
+        for (const std::atomic<int>& h : hits) {
+          if (h.load() != 1) bad_counts.fetch_add(1);
+        }
+        calls_done.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(calls_done.load(), kCallers * kRounds);
+  EXPECT_EQ(bad_counts.load(), 0);
+}
+
+// A priority call makes progress while another thread's normal-priority
+// call holds the pool's worker: its caller participates, and its helpers
+// queue ahead of normal work.
+TEST(TaskPool, PriorityCallCompletesWhileANormalCallRuns) {
+  TaskPool pool(2);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> normal_done{false};
+  std::thread normal([&] {
+    pool.ParallelFor(2, [&](size_t) {
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+    normal_done.store(true);
+  });
+  while (!started.load()) std::this_thread::yield();
+
+  std::atomic<int> visited{0};
+  pool.ParallelFor(8, [&](size_t) { visited.fetch_add(1); }, /*priority=*/1);
+  EXPECT_EQ(visited.load(), 8);
+  EXPECT_FALSE(normal_done.load());
+
+  release.store(true);
+  normal.join();
+  EXPECT_TRUE(normal_done.load());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Randomized property test cross-validating the two enumerator
-// implementations on generated unary-operator chains: the production closure
-// enumerator (EnumerateAlternatives) and the paper's Algorithm 1 transcription
-// (EnumerateChainAlgorithm1) must derive exactly the same plan set — compared
-// by canonical form — for every randomly generated chain of Maps and Reduces.
+// Randomized property tests on generated unary-operator chains of Maps and
+// Reduces. The BFS closure enumerator (EnumerateAlternatives) and the paper's
+// Algorithm 1 transcription (EnumerateChainAlgorithm1) must derive exactly the
+// same plan set, compared by canonical form; the optimizer's full closure
+// (top_k = kAllPlans) must hold that same set; and the default ranked search
+// must pick the closure's top plan.
 
 #include <gtest/gtest.h>
 
@@ -145,7 +146,9 @@ TEST_P(RandomChainTest, Algorithm1MatchesClosureEnumerator) {
 // random chains: the top-1 must agree in cost AND in canonical logical and
 // physical (strategy) form. This is the empirical validation of the
 // admissible lower bound (DESIGN.md §3.4) — any bound term that overshoots
-// a real plan's cost shows up here as a pruned optimum.
+// a real plan's cost shows up here as a pruned optimum. The closure is
+// itself the ranked search with no top-k bound, so it is first checked
+// against the independent BFS enumerator.
 TEST_P(RandomChainTest, RankedSearchMatchesClosureTopPlan) {
   uint64_t seed = GetParam();
   Rng rng(seed * 131 + 17);  // same stream → same chain as the test above
@@ -155,13 +158,23 @@ TEST_P(RandomChainTest, RankedSearchMatchesClosureTopPlan) {
   BuildRandomChain(&rng, &flow, &chain_len, &reduce_at);
 
   core::BlackBoxOptimizer::Options closure_opts;
-  closure_opts.search = core::SearchMode::kClosure;
+  closure_opts.top_k = core::kAllPlans;
   StatusOr<core::OptimizationResult> closure =
       core::BlackBoxOptimizer(closure_opts).Optimize(flow);
   ASSERT_TRUE(closure.ok()) << closure.status().ToString();
+  StatusOr<EnumResult> bfs = EnumerateAlternatives(closure->annotated);
+  ASSERT_TRUE(bfs.ok()) << bfs.status().ToString();
+  std::set<std::string> closure_set;
+  for (const core::PlannedAlternative& alt : closure->ranked) {
+    closure_set.insert(reorder::CanonicalString(alt.logical));
+  }
+  EXPECT_EQ(closure_set, Canon(*bfs))
+      << "seed " << seed << ": the kAllPlans search and the BFS closure "
+      << "hold different plan sets\n"
+      << flow.ToString();
+  EXPECT_EQ(closure->ranked.size(), bfs->plans.size()) << "seed " << seed;
 
   core::BlackBoxOptimizer::Options ranked_opts;
-  ranked_opts.search = core::SearchMode::kRanked;
   StatusOr<core::OptimizationResult> ranked =
       core::BlackBoxOptimizer(ranked_opts).Optimize(flow);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();

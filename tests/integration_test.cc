@@ -94,7 +94,7 @@ TEST(Integration, MixedRelationalFlowWithSixOperatorsOptimizesAndRuns) {
   f.SetSink("O", keyf);
 
   core::BlackBoxOptimizer::Options count_opts;
-  count_opts.search = core::SearchMode::kClosure;  // count the full closure
+  count_opts.top_k = core::kAllPlans;  // count the full closure
   BlackBoxOptimizer optimizer(count_opts);
   StatusOr<core::OptimizationResult> result = optimizer.Optimize(f);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -191,7 +191,7 @@ TEST(Integration, EndToEndProfiledOptimizationOnQ7) {
   optimizer::ApplyProfile(*profile, &w.flow);
 
   core::BlackBoxOptimizer::Options opts;
-  opts.search = core::SearchMode::kClosure;  // the >100 pin is a closure count
+  opts.top_k = core::kAllPlans;  // the >100 pin is a closure count
   BlackBoxOptimizer optimizer(opts);
   StatusOr<core::OptimizationResult> result = optimizer.Optimize(w.flow);
   ASSERT_TRUE(result.ok());

@@ -1,9 +1,11 @@
-// Determinism contract of the partition-parallel runtime (DESIGN.md §2.1):
-// for any num_threads, optimize+run must produce byte-identical sink output,
-// identical ExecStats meters (everything except wall_seconds), and an
-// identical ranked plan list — the thread count may only change how fast the
-// answer arrives, never the answer. Exercised on TPC-H Q7 (bushy join tree,
-// 442-plan space at full scale) and the clickstream task, plus a spill-path
+// Determinism contract of the partition-parallel engine (DESIGN.md §2.1): for
+// any ExecOptions::num_threads, running a plan must produce byte-identical
+// sink output and identical ExecStats meters (every field except
+// wall_seconds) — the thread count may only change how fast the answer
+// arrives, never the answer. The plans come from a full-closure optimize
+// (the serial ranked search never reads the thread count; its list is
+// compared too), and the closure's best and worst plans are run. Exercised
+// on TPC-H Q7 (bushy join tree) and the clickstream task, plus a spill-path
 // variant that forces the memory budget below the working set.
 
 #include <gtest/gtest.h>
@@ -32,14 +34,13 @@ RunOutcome OptimizeAndRun(const workloads::Workload& w, int num_threads,
                           double mem_budget_bytes) {
   api::ScaProvider provider;
   api::OptimizeOptions options;
-  options.exec.num_threads = num_threads;  // costing inherits this
+  options.exec.num_threads = num_threads;
   options.exec.mem_budget_bytes = mem_budget_bytes;
-  // The contract under test is that the PARALLEL closure-costing pipeline
-  // ranks identically to the serial one — so use the closure search (the
-  // ranked search is serial by construction) and force each call to be an
-  // independent optimization rather than a plan-cache alias (thread count
-  // is deliberately not part of the cache key).
-  options.search = core::SearchMode::kClosure;
+  // The whole closure, so the worst-ranked plan run below is the closure's
+  // worst; and each call an independent optimization rather than a
+  // plan-cache alias (thread count is deliberately not part of the cache
+  // key).
+  options.top_k = core::kAllPlans;
   options.use_plan_cache = false;
 
   api::SourceBindings sources;
@@ -86,6 +87,13 @@ void ExpectIdenticalMeters(const engine::ExecStats& a,
   EXPECT_EQ(a.cpu_burn_units, b.cpu_burn_units);
   EXPECT_EQ(a.records_processed, b.records_processed);
   EXPECT_EQ(a.output_rows, b.output_rows);
+  EXPECT_EQ(a.skipped_batches, b.skipped_batches);
+  EXPECT_EQ(a.skipped_spill_bytes, b.skipped_spill_bytes);
+  EXPECT_EQ(a.fused_chains, b.fused_chains);
+  EXPECT_EQ(a.specialized_instructions_saved,
+            b.specialized_instructions_saved);
+  EXPECT_EQ(a.projected_fields_skipped, b.projected_fields_skipped);
+  EXPECT_EQ(a.peak_bytes, b.peak_bytes);
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
 }
 

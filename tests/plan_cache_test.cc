@@ -32,8 +32,8 @@ class PlanCacheTest : public ::testing::Test {
 
 std::string DefaultKey(const dataflow::DataFlow& flow) {
   return PlanCacheKey(flow, "sca", optimizer::CostWeights{},
-                      enumerate::EnumOptions{}, /*search_mode=*/0,
-                      /*top_k=*/8, /*cost_epsilon=*/0);
+                      enumerate::EnumOptions{}, /*top_k=*/8,
+                      /*cost_epsilon=*/0);
 }
 
 /// Order-sensitive serialization: cache-hit and cold programs must agree on
@@ -76,29 +76,29 @@ TEST_F(PlanCacheTest, ProviderWeightsAndSearchKnobsChangeTheKey) {
   const std::string base = DefaultKey(flow);
 
   EXPECT_NE(base, PlanCacheKey(flow, "manual", optimizer::CostWeights{},
-                               enumerate::EnumOptions{}, 0, 8, 0));
+                               enumerate::EnumOptions{}, 8, 0));
 
   optimizer::CostWeights heavy_net;
   heavy_net.net_per_byte = heavy_net.net_per_byte * 2;
   EXPECT_NE(base, PlanCacheKey(flow, "sca", heavy_net,
-                               enumerate::EnumOptions{}, 0, 8, 0));
+                               enumerate::EnumOptions{}, 8, 0));
 
   optimizer::CostWeights no_combiner;
   no_combiner.enable_combiner = false;
   EXPECT_NE(base, PlanCacheKey(flow, "sca", no_combiner,
-                               enumerate::EnumOptions{}, 0, 8, 0));
+                               enumerate::EnumOptions{}, 8, 0));
 
   enumerate::EnumOptions small;
   small.max_plans = 7;
   EXPECT_NE(base, PlanCacheKey(flow, "sca", optimizer::CostWeights{}, small,
-                               0, 8, 0));
+                               8, 0));
 
   EXPECT_NE(base, PlanCacheKey(flow, "sca", optimizer::CostWeights{},
-                               enumerate::EnumOptions{}, 1, 8, 0));
+                               enumerate::EnumOptions{}, core::kAllPlans, 0));
   EXPECT_NE(base, PlanCacheKey(flow, "sca", optimizer::CostWeights{},
-                               enumerate::EnumOptions{}, 0, 4, 0));
+                               enumerate::EnumOptions{}, 4, 0));
   EXPECT_NE(base, PlanCacheKey(flow, "sca", optimizer::CostWeights{},
-                               enumerate::EnumOptions{}, 0, 8, 0.5));
+                               enumerate::EnumOptions{}, 8, 0.5));
 }
 
 // --- LRU cache mechanics ----------------------------------------------------

@@ -92,7 +92,7 @@ ClosureStats RunClosure(const workloads::Workload& w,
   options.enum_options.max_plans = 512;
   // The oracle quantifies over the FULL closure, and each (threads, chain)
   // combination must be an independent optimization, not a cache alias.
-  options.search = core::SearchMode::kClosure;
+  options.top_k = core::kAllPlans;
   options.use_plan_cache = false;
 
   api::SourceBindings sources;
@@ -250,7 +250,7 @@ TEST(PlanEquivalence, RankedSearchMatchesClosureBestCost) {
         workloads::MakeTextMining({.documents = 200}),
         workloads::MakeClickstream({.sessions = 200})}) {
     api::OptimizeOptions closure_opts;
-    closure_opts.search = core::SearchMode::kClosure;
+    closure_opts.top_k = core::kAllPlans;
     closure_opts.use_plan_cache = false;
     StatusOr<api::OptimizedProgram> closure =
         api::OptimizeFlow(w.flow, sca, closure_opts);
@@ -258,7 +258,6 @@ TEST(PlanEquivalence, RankedSearchMatchesClosureBestCost) {
                               << closure.status().ToString();
 
     api::OptimizeOptions ranked_opts;
-    ranked_opts.search = core::SearchMode::kRanked;
     ranked_opts.use_plan_cache = false;
     StatusOr<api::OptimizedProgram> ranked =
         api::OptimizeFlow(w.flow, sca, ranked_opts);

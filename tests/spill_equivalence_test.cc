@@ -87,7 +87,7 @@ SweepCounts RunBudgetSweep(const workloads::Workload& w,
   options.enum_options.max_plans = 512;
   // The oracle quantifies over the FULL closure and needs the implemented
   // plan in it; the ranked default keeps only a top-k.
-  options.search = core::SearchMode::kClosure;
+  options.top_k = core::kAllPlans;
   options.use_plan_cache = false;
 
   api::SourceBindings sources;
@@ -302,7 +302,7 @@ TEST(SpillEquivalence, SpillCostEstimateTracksMeasurement) {
     options.exec.mem_budget_bytes = budget;
     options.weights.enable_spill = enable_spill;
     // "Worst plan" below means worst of the FULL closure.
-    options.search = core::SearchMode::kClosure;
+    options.top_k = core::kAllPlans;
     options.use_plan_cache = false;
     return api::OptimizeFlow(w.flow, sca, options, sources);
   };
@@ -369,7 +369,7 @@ TEST(SpillEquivalence, SpillFaultSurfacesCleanStatusAndLeaksNothing) {
   options.exec.spill_dir = sandbox.string();
   // The fault is injected into the closure's WORST plan — the one sure to
   // spill at this budget; a ranked top-k might hold only non-spilling plans.
-  options.search = core::SearchMode::kClosure;
+  options.top_k = core::kAllPlans;
   options.use_plan_cache = false;
   StatusOr<api::OptimizedProgram> p = api::OptimizeFlow(w.flow, sca, options,
                                                         sources);

@@ -1,13 +1,17 @@
 // End-to-end tests over the four evaluation workloads: enumeration counts
-// (Table 1), SCA-vs-manual agreement, and the key safety property — every
-// enumerated alternative produces the same output data set.
+// (Table 1), the optimizer's full closure against the independent BFS
+// enumerator and its max_plans truncation rule, SCA-vs-manual agreement, and
+// the key safety property — every enumerated alternative produces the same
+// output data set.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "api/optimized_program.h"
 #include "core/optimizer_api.h"
 #include "engine/executor.h"
+#include "enumerate/enumerate.h"
 #include "workloads/clickstream.h"
 #include "workloads/textmining.h"
 #include "workloads/tpch.h"
@@ -23,7 +27,7 @@ size_t CountAlternatives(const Workload& w, AnnotationMode mode) {
   BlackBoxOptimizer::Options opts;
   opts.mode = mode;
   // Table 1 counts the FULL closure; the default ranked search stops early.
-  opts.search = core::SearchMode::kClosure;
+  opts.top_k = core::kAllPlans;
   BlackBoxOptimizer optimizer(opts);
   StatusOr<core::OptimizationResult> result = optimizer.Optimize(w.flow);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -38,7 +42,7 @@ void CheckAllPlansEquivalent(const Workload& w, AnnotationMode mode,
   BlackBoxOptimizer::Options opts;
   opts.mode = mode;
   // The safety contract quantifies over EVERY valid reordering.
-  opts.search = core::SearchMode::kClosure;
+  opts.top_k = core::kAllPlans;
   BlackBoxOptimizer optimizer(opts);
   StatusOr<core::OptimizationResult> result = optimizer.Optimize(w.flow);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -124,6 +128,72 @@ TEST(Table1, Q7ScaMatchesManualCount) {
   EXPECT_GT(manual, 100u);  // a rich bushy space (paper: 2518)
 }
 
+// --- The full closure: top_k = kAllPlans vs the BFS reference ---
+
+std::set<std::string> RankedCanon(const core::OptimizationResult& r) {
+  std::set<std::string> out;
+  for (const auto& alt : r.ranked) {
+    out.insert(reorder::CanonicalString(alt.logical));
+  }
+  return out;
+}
+
+// The optimizer's closure is the best-first search with no top-k bound; the
+// oracle tests that iterate it need it to hold exactly the plans the
+// independent BFS enumerator derives from the same annotation.
+TEST(Closure, AllPlansSearchMatchesBfsEnumeratorOnSeedWorkloads) {
+  struct Case {
+    Workload w;
+    AnnotationMode mode;
+  };
+  for (const Case& c :
+       {Case{workloads::MakeTpchQ7(SmallTpch()), AnnotationMode::kSca},
+        Case{workloads::MakeTextMining(SmallText()), AnnotationMode::kSca},
+        Case{workloads::MakeClickstream(SmallClicks()), AnnotationMode::kSca},
+        Case{workloads::MakeClickstream(SmallClicks()),
+             AnnotationMode::kManual}}) {
+    SCOPED_TRACE(c.w.name);
+    BlackBoxOptimizer::Options opts;
+    opts.mode = c.mode;
+    opts.top_k = core::kAllPlans;
+    StatusOr<core::OptimizationResult> all =
+        BlackBoxOptimizer(opts).Optimize(c.w.flow);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    StatusOr<enumerate::EnumResult> bfs =
+        enumerate::EnumerateAlternatives(all->annotated);
+    ASSERT_TRUE(bfs.ok()) << bfs.status().ToString();
+
+    std::set<std::string> bfs_set;
+    for (const auto& p : bfs->plans) {
+      bfs_set.insert(reorder::CanonicalString(p));
+    }
+    EXPECT_EQ(RankedCanon(*all), bfs_set);
+    EXPECT_EQ(all->ranked.size(), bfs->plans.size());
+    EXPECT_EQ(all->num_alternatives, bfs->plans.size());
+    EXPECT_EQ(all->plans_pruned, 0u);
+    EXPECT_FALSE(all->stopped_early);
+    EXPECT_FALSE(all->truncated);
+  }
+}
+
+// Truncation order (RankedOptions::max_plans): below the closure size the
+// result keeps the first max_plans plans discovered best-first — the
+// authored plan is discovered first, so it is always kept.
+TEST(Closure, MaxPlansKeepsTheFirstPlansDiscoveredBestFirst) {
+  Workload w = workloads::MakeTpchQ7(SmallTpch());
+  api::OptimizeOptions options;
+  options.top_k = core::kAllPlans;
+  options.use_plan_cache = false;
+  options.enum_options.max_plans = 50;
+  StatusOr<api::OptimizedProgram> program =
+      api::OptimizeFlow(w.flow, api::ScaProvider(), options);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ASSERT_GT(CountAlternatives(w, AnnotationMode::kSca), 50u);
+  EXPECT_EQ(program->ranked().size(), 50u);
+  EXPECT_TRUE(program->truncated());
+  EXPECT_GE(program->ImplementedIndex(), 0);
+}
+
 // --- Safety: all alternatives are output-equivalent ---
 
 TEST(PlanEquivalence, Q15AllPlansProduceSameResult) {
@@ -159,15 +229,11 @@ TEST(Conservatism, ScaPlanSetIsSubsetOfManual) {
       BlackBoxOptimizer::Options opts;
       opts.mode = mode;
       // Subset inclusion must compare full closures, not ranked top-k's.
-      opts.search = core::SearchMode::kClosure;
+      opts.top_k = core::kAllPlans;
       StatusOr<core::OptimizationResult> r =
           BlackBoxOptimizer(opts).Optimize(w.flow);
       EXPECT_TRUE(r.ok());
-      std::set<std::string> keys;
-      for (const auto& alt : r->ranked) {
-        keys.insert(reorder::CanonicalString(alt.logical));
-      }
-      return keys;
+      return RankedCanon(*r);
     };
     std::set<std::string> manual = plans(AnnotationMode::kManual);
     std::set<std::string> sca = plans(AnnotationMode::kSca);
