@@ -32,6 +32,11 @@ int64_t ValueAsBool(const Value& v) {
   return 0;
 }
 
+/// A string operand's bytes; any other operand contributes none.
+std::string_view StringOrEmpty(const Value& v) {
+  return v.type() == ValueType::kString ? v.AsString() : std::string_view();
+}
+
 Value Arith(Opcode op, const Value& a, const Value& b) {
   if (a.type() == ValueType::kInt && b.type() == ValueType::kInt) {
     int64_t x = a.AsInt(), y = b.AsInt();
@@ -254,19 +259,16 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
                 ? vals[i.src0].AsString().size()
                 : 0));
         break;
-      case Opcode::kStrConcat: {
-        std::string s;
-        if (vals[i.src0].type() == ValueType::kString) s += vals[i.src0].AsString();
-        if (vals[i.src1].type() == ValueType::kString) s += vals[i.src1].AsString();
-        vals[i.dst] = Value(std::move(s));
+      case Opcode::kStrConcat:
+        vals[i.dst] = Value::Concat(StringOrEmpty(vals[i.src0]),
+                                    StringOrEmpty(vals[i.src1]));
         break;
-      }
       case Opcode::kStrContains: {
         bool hit = false;
         if (vals[i.src0].type() == ValueType::kString &&
             vals[i.src1].type() == ValueType::kString) {
           hit = vals[i.src0].AsString().find(vals[i.src1].AsString()) !=
-                std::string::npos;
+                std::string_view::npos;
         }
         vals[i.dst] = Value(int64_t{hit});
         break;

@@ -70,14 +70,16 @@ ValueRange ColumnView::Range(size_t col) const {
         break;
       }
       case ValueType::kString: {
-        const std::string& s = v.AsString();
+        std::string_view s = v.AsString();
         bool truncated = s.size() > ZoneMapSketch::kMaxTrackedStringBytes;
         // A prefix is always <= the full string, so a truncated lower
-        // bound stays valid; the upper bound widens to open.
-        std::string lo = s.substr(0, ZoneMapSketch::kMaxTrackedStringBytes);
+        // bound stays valid; the upper bound widens to open. The bounds
+        // are assigned only when they move.
+        std::string_view lo =
+            s.substr(0, ZoneMapSketch::kMaxTrackedStringBytes);
         if (!have_str) {
           have_str = r.may_str = true;
-          r.str_lo = std::move(lo);
+          r.str_lo = lo;
           if (truncated) {
             r.str_hi_open = true;
             r.str_hi.clear();
@@ -85,7 +87,7 @@ ValueRange ColumnView::Range(size_t col) const {
             r.str_hi = s;
           }
         } else {
-          if (lo < r.str_lo) r.str_lo = std::move(lo);
+          if (lo < r.str_lo) r.str_lo = lo;
           if (truncated) {
             r.str_hi_open = true;
             r.str_hi.clear();

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cctype>
@@ -45,7 +46,7 @@ void EncodeValue(const Value& v, std::string* out) {
       AppendPod<double>(v.AsDouble(), out);
       break;
     case ValueType::kString: {
-      const std::string& s = v.AsString();
+      std::string_view s = v.AsString();
       AppendPod<uint32_t>(static_cast<uint32_t>(s.size()), out);
       out->append(s);
       break;
@@ -67,20 +68,23 @@ StatusOr<Record> DecodeRecord(const char* data, size_t size) {
   if (!ReadPod(&p, end, &nfields)) {
     return Status::Corruption("spill record truncated in field count");
   }
-  Record rec;
+  // Every field takes at least its tag byte, so a corrupt count cannot
+  // reserve more fields than there are bytes left.
+  std::vector<Value> fields;
+  fields.reserve(std::min<size_t>(nfields, static_cast<size_t>(end - p)));
   for (uint32_t i = 0; i < nfields; ++i) {
     if (p >= end) return Status::Corruption("spill record truncated in tag");
     ValueType type = static_cast<ValueType>(*p++);
     switch (type) {
       case ValueType::kNull:
-        rec.Append(Value::Null());
+        fields.emplace_back();
         break;
       case ValueType::kInt: {
         int64_t v;
         if (!ReadPod(&p, end, &v)) {
           return Status::Corruption("spill record truncated in int value");
         }
-        rec.Append(Value(v));
+        fields.emplace_back(v);
         break;
       }
       case ValueType::kDouble: {
@@ -88,7 +92,7 @@ StatusOr<Record> DecodeRecord(const char* data, size_t size) {
         if (!ReadPod(&p, end, &v)) {
           return Status::Corruption("spill record truncated in double value");
         }
-        rec.Append(Value(v));
+        fields.emplace_back(v);
         break;
       }
       case ValueType::kString: {
@@ -97,7 +101,7 @@ StatusOr<Record> DecodeRecord(const char* data, size_t size) {
             static_cast<size_t>(end - p) < static_cast<size_t>(len)) {
           return Status::Corruption("spill record truncated in string value");
         }
-        rec.Append(Value(std::string(p, len)));
+        fields.emplace_back(std::string_view(p, len));
         p += len;
         break;
       }
@@ -108,7 +112,7 @@ StatusOr<Record> DecodeRecord(const char* data, size_t size) {
   if (p != end) {
     return Status::Corruption("spill record has trailing bytes");
   }
-  return rec;
+  return Record(std::move(fields));
 }
 
 // --- BatchSpillWriter -------------------------------------------------------

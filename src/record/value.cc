@@ -1,10 +1,45 @@
 #include "record/value.h"
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 
 namespace blackbox {
+
+char* Value::InitHeap(size_t n) {
+  // The wire format's string length prefix is 32 bits.
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("Value string longer than 4 GiB");
+  }
+  r_.heap = {static_cast<uint8_t>(kStringMeta | kHeapBit),
+             static_cast<uint32_t>(n), new char[n]};
+  return r_.heap.bytes;
+}
+
+void Value::CopyHeapFrom(const Value& other) {
+  char* bytes = new char[other.r_.heap.size];
+  std::memcpy(bytes, other.r_.heap.bytes, other.r_.heap.size);
+  r_.heap.bytes = bytes;
+}
+
+bool Value::operator==(const Value& other) const {
+  // A string's length picks its representation, so equal strings have equal
+  // meta bytes.
+  if (r_.small.meta != other.r_.small.meta) return false;
+  switch (type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return AsInt() == other.AsInt();
+    case ValueType::kDouble:
+      return AsDouble() == other.AsDouble();
+    case ValueType::kString:
+      return AsString() == other.AsString();
+  }
+  return false;
+}
 
 bool Value::operator<(const Value& other) const {
   // Order first by type tag, then by content; gives a total order usable for
@@ -12,9 +47,7 @@ bool Value::operator<(const Value& other) const {
   // Doubles order NaN after every other double and equivalent to any NaN
   // (as PostgreSQL does): IEEE `<` is false both ways against NaN, which is
   // no strict weak order and undefined behaviour in sorts and ordered maps.
-  if (repr_.index() != other.repr_.index()) {
-    return repr_.index() < other.repr_.index();
-  }
+  if (type() != other.type()) return type() < other.type();
   switch (type()) {
     case ValueType::kNull:
       return false;
@@ -53,7 +86,9 @@ uint64_t Value::Hash() const {
       return x ^ (x >> 29);
     }
     case ValueType::kString:
-      return std::hash<std::string>{}(AsString()) ^ kSeed;
+      // std::hash<std::string_view> equals std::hash<std::string> over the
+      // same bytes, so partitioning is that of a std::string field.
+      return std::hash<std::string_view>{}(AsString()) ^ kSeed;
   }
   return kSeed;
 }
@@ -83,7 +118,7 @@ std::string Value::ToString() const {
       return s;
     }
     case ValueType::kString:
-      return "\"" + AsString() + "\"";
+      return "\"" + std::string(AsString()) + "\"";
   }
   return "?";
 }

@@ -115,7 +115,7 @@ void ZoneMapSketch::Observe(const Record& r) {
       }
       case ValueType::kString: {
         ++c.non_null;
-        const std::string& s = v.AsString();
+        std::string_view s = v.AsString();
         bool truncated = s.size() > kMaxTrackedStringBytes;
         // A prefix is always <= the full string, so it stays a valid lower
         // bound even when truncated.
@@ -129,9 +129,8 @@ void ZoneMapSketch::Observe(const Record& r) {
             c.smax = s;
           }
         } else if (truncated) {
-          if (s.compare(0, kMaxTrackedStringBytes, c.smin) < 0) {
-            c.smin = s.substr(0, kMaxTrackedStringBytes);
-          }
+          std::string_view prefix = s.substr(0, kMaxTrackedStringBytes);
+          if (prefix < c.smin) c.smin = prefix;
           c.smax_open = true;
           c.smax.clear();
         } else {

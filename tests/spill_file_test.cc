@@ -63,6 +63,17 @@ TEST(SpillFile, DecodeRejectsTrailingAndMissingBytes) {
             Status::Code::kCorruption);
 }
 
+TEST(SpillFile, HugeFieldCountIsCorruption) {
+  // A garbled count fails on the missing bytes; it never reserves four
+  // billion fields first.
+  std::string buf;
+  const uint32_t count = 0xFFFFFFFFu;
+  buf.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  buf.push_back(static_cast<char>(ValueType::kNull));
+  EXPECT_EQ(DecodeRecord(buf.data(), buf.size()).status().code(),
+            Status::Code::kCorruption);
+}
+
 TEST(SpillFile, RoundTripUniformAndShortBatches) {
   StatusOr<SpillDirectory> dir = SpillDirectory::Create("");
   ASSERT_TRUE(dir.ok()) << dir.status().ToString();

@@ -11,7 +11,9 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "record/column_view.h"
 #include "record/record.h"
 
 namespace blackbox {
@@ -121,6 +123,29 @@ TEST(ZoneMap, LongStringsOpenTheUpperBound) {
   ValueRange ol = only_long.ColumnRange(0);
   EXPECT_EQ(ol.str_lo, long_str.substr(0, ZoneMapSketch::kMaxTrackedStringBytes));
   EXPECT_LE(ol.str_lo, long_str);
+}
+
+TEST(ZoneMap, StringBoundsAtTheInlineAndTrackedLimits) {
+  // Lengths 15/16 straddle Value's inline-string limit and 32/33 the
+  // tracked-bytes limit. ColumnView::Range folds rows by the same rules.
+  for (size_t n : {15, 16, 32, 33}) {
+    SCOPED_TRACE(n);
+    const std::string lo(n, 'b'), hi(n, 'y');
+    const bool tracked = n <= ZoneMapSketch::kMaxTrackedStringBytes;
+    std::vector<Record> rows = {Record({Value(hi)}), Record({Value("m")}),
+                                Record({Value(lo)})};
+    ZoneMapSketch s;
+    for (const Record& r : rows) s.Observe(r);
+    ColumnView view(rows.data(), rows.size(), 1);
+    for (const ValueRange& r : {s.ColumnRange(0), view.Range(0)}) {
+      ASSERT_TRUE(r.may_str);
+      EXPECT_EQ(r.str_lo, lo.substr(0, ZoneMapSketch::kMaxTrackedStringBytes));
+      EXPECT_EQ(r.str_hi_open, !tracked);
+      if (tracked) {
+        EXPECT_EQ(r.str_hi, hi);
+      }
+    }
+  }
 }
 
 TEST(ZoneMap, MergeIsTheUnionOfAdmittedValues) {
