@@ -76,7 +76,8 @@ struct ChainPlan {
   /// emitted width (sink schema size for a sink-terminated chain, else the
   /// in-flight width).
   interp::FieldTranslation fused_translation;
-  /// In-flight (chain input) record width: the ColumnView's column count.
+  /// In-flight (chain input) record width: the global record's width, and
+  /// the ColumnView's column count.
   int input_width = 0;
   /// Refuter over the fused program (data skipping on fused chains). Reads
   /// are at global positions already, so it consumes chain-input ranges
@@ -112,24 +113,32 @@ CallInputs RecordInputs(size_t n) {
 /// Per-partition chain executor: the producer (scan, breaker, or a cut
 /// chain's restreamed input) pushes its emitted records here; full batches
 /// are pulled through every stage in one pass and the final stage's output
-/// lands in the chain's materialized output buffer. In-flight records
-/// between stages are plain vectors — their serialized sizes are cached
-/// exactly once, at the terminal write into the output buffer (the only
-/// place byte meters ever read them). All state — the pending buffer, the
-/// ping-pong scratch buffers (cleared, never shrunk: arena reuse across
+/// lands in the chain's materialized output buffer. A scan pushes pointers
+/// to its bound source rows instead, read through `source_positions`
+/// (global position -> source field): a fused chain views them unwidened,
+/// and every other chain widens them at flush (DESIGN.md §2.2). In-flight
+/// records between stages are plain vectors — their serialized sizes are
+/// cached exactly once, at the terminal write into the output buffer (the
+/// only place byte meters ever read them). All state — the pending buffer,
+/// the ping-pong scratch buffers (cleared, never shrunk: arena reuse across
 /// flushes), one Interpreter per Map stage — is owned by one partition task
 /// (DESIGN.md §2.1).
 class ChainRunner {
  public:
   ChainRunner(const ChainPlan* plan, size_t capacity, SpillableBuffer* out,
-              ExecStats* meters, const CancelToken* cancel = nullptr)
+              ExecStats* meters, const CancelToken* cancel = nullptr,
+              const std::vector<int>* source_positions = nullptr)
       : plan_(plan),
         capacity_(capacity),
         out_(out),
         cancel_(cancel),
+        source_positions_(source_positions),
         meters_(meters) {
-    pending_.reserve(capacity);
-    if (plan_ == nullptr) return;
+    if (source_positions_ != nullptr) {
+      pending_source_.reserve(capacity);
+    } else {
+      pending_.reserve(capacity);
+    }
     if (plan_->fused) {
       fused_interp_ = std::make_unique<Interpreter>(&plan_->fused->fn);
       fused_interp_->set_cancel(cancel_);
@@ -158,68 +167,86 @@ class ChainRunner {
     return Status::OK();
   }
 
+  /// Queues one bound source row (source-row runners only). The row must
+  /// outlive the runner's next flush.
+  Status PushSource(const Record* row) {
+    pending_source_.push_back(row);
+    if (pending_source_.size() >= capacity_) return Flush();
+    return Status::OK();
+  }
+
   /// Drains the pending buffer through the chain; flushing an empty buffer
   /// is a no-op (the end-of-partition call on an exactly-full stream).
   Status Flush() {
-    if (pending_.empty()) return Status::OK();
-    BLACKBOX_RETURN_NOT_OK(ProcessBatch(&pending_));
+    if (pending_.empty() && pending_source_.empty()) return Status::OK();
+    BLACKBOX_RETURN_NOT_OK(ProcessBatch());
     pending_.clear();
+    pending_source_.clear();
     return Status::OK();
   }
 
  private:
-  Status ProcessBatch(std::vector<Record>* batch) {
+  Status ProcessBatch() {
     // Batch-boundary cancellation point: a cancelled or past-deadline query
     // stops before the next batch enters the chain, so unwind latency is
     // bounded by one batch of work. The poll is read-only — a token that
     // never fires changes no output or meter.
     if (cancel_ != nullptr) BLACKBOX_RETURN_NOT_OK(cancel_->Check());
+    const ColumnView view =
+        source_positions_ != nullptr
+            ? ColumnView(pending_source_.data(), pending_source_.size(),
+                         *source_positions_)
+            : ColumnView(pending_.data(), pending_.size(),
+                         static_cast<size_t>(plan_->input_width));
     // Adapt from the first flushed batch in EVERY mode, fused or staged:
     // the flush cadence decides when the terminal buffer's ledger sees
     // reserves, and under a tight budget that interleaving steers eviction —
     // so it must be a property of the chain, never of the specialization
     // switch (the §2.6 oracles compare byte meters across modes exactly).
-    AdaptCapacity(*batch);
-    if (plan_ != nullptr && plan_->fused) return ProcessFusedBatch(batch);
-    std::vector<Record>* cur = batch;
-    if (plan_ != nullptr) {
-      size_t flip = 0;
-      for (size_t si = 0; si < plan_->stages.size(); ++si) {
-        const ChainStage& s = plan_->stages[si];
-        if (s.refuter) {
-          // Data skipping (DESIGN.md §2.5): summarize the in-flight batch
-          // and try to refute this stage against it. A refuted stage
-          // provably emits nothing for every record here, so the whole
-          // batch — and everything downstream of it — is dropped without an
-          // interpreter call. Verdicts depend only on batch content, so
-          // meters stay deterministic for every thread count.
-          ZoneMapSketch sk;
-          for (const Record& r : *cur) sk.Observe(r);
-          if (s.refuter->RefutesEmit(SketchRanges(sk))) {
-            ++meters_->skipped_batches;
-            return Status::OK();
-          }
+    AdaptCapacity(view);
+    if (plan_->fused) return ProcessFusedBatch(view);
+    // Every other chain reads whole in-flight records: widen source rows
+    // here, once per row.
+    for (size_t i = 0; i < pending_source_.size(); ++i) {
+      pending_.push_back(view.Row(i));
+    }
+    std::vector<Record>* cur = &pending_;
+    size_t flip = 0;
+    for (size_t si = 0; si < plan_->stages.size(); ++si) {
+      const ChainStage& s = plan_->stages[si];
+      if (s.refuter) {
+        // Data skipping (DESIGN.md §2.5): summarize the in-flight batch
+        // and try to refute this stage against it. A refuted stage
+        // provably emits nothing for every record here, so the whole
+        // batch — and everything downstream of it — is dropped without an
+        // interpreter call. Verdicts depend only on batch content, so
+        // meters stay deterministic for every thread count.
+        ZoneMapSketch sk;
+        for (const Record& r : *cur) sk.Observe(r);
+        if (s.refuter->RefutesEmit(SketchRanges(sk))) {
+          ++meters_->skipped_batches;
+          return Status::OK();
         }
-        std::vector<Record>* next = &scratch_[flip];
-        next->clear();
-        if (s.op != nullptr) {
-          interp::RunStats rs;
-          Status st = interps_[si]->RunBatch(*cur, s.translation, next, &rs);
-          meters_->udf_calls += static_cast<int64_t>(cur->size());
-          meters_->records_processed += static_cast<int64_t>(cur->size());
-          meters_->interp_instructions += rs.instructions;
-          meters_->cpu_burn_units += rs.cpu_burn_units;
-          BLACKBOX_RETURN_NOT_OK(st);
-        } else {
-          // Sink projection stage: a field copy that runs no UDF, so it
-          // is unmetered.
-          for (const Record& wide : *cur) {
-            next->push_back(ProjectToSinkSchema(wide, s.sink_schema));
-          }
-        }
-        cur = next;
-        flip ^= 1;
       }
+      std::vector<Record>* next = &scratch_[flip];
+      next->clear();
+      if (s.op != nullptr) {
+        interp::RunStats rs;
+        Status st = interps_[si]->RunBatch(*cur, s.translation, next, &rs);
+        meters_->udf_calls += static_cast<int64_t>(cur->size());
+        meters_->records_processed += static_cast<int64_t>(cur->size());
+        meters_->interp_instructions += rs.instructions;
+        meters_->cpu_burn_units += rs.cpu_burn_units;
+        BLACKBOX_RETURN_NOT_OK(st);
+      } else {
+        // Sink projection stage: a field copy that runs no UDF, so it
+        // is unmetered.
+        for (const Record& wide : *cur) {
+          next->push_back(ProjectToSinkSchema(wide, s.sink_schema));
+        }
+      }
+      cur = next;
+      flip ^= 1;
     }
     // Terminal write: the single point where serialized sizes are computed
     // and cached (PushOwned), feeding every downstream byte meter — and
@@ -236,9 +263,8 @@ class ChainRunner {
   /// meter (network/disk/peak/skipped_spill) is identical in both modes; the
   /// CPU meters (udf_calls, interp_instructions) legitimately differ and the
   /// differential oracles never compare them across modes.
-  Status ProcessFusedBatch(std::vector<Record>* batch) {
-    const size_t width = static_cast<size_t>(plan_->input_width);
-    ColumnView view(batch->data(), batch->size(), width);
+  Status ProcessFusedBatch(const ColumnView& view) {
+    const size_t width = view.width();
     if (plan_->fused_refuter) {
       // One refutation per flush, with ranges computed only for the global
       // positions the fused body actually reads (everything else is Top, a
@@ -259,9 +285,9 @@ class ChainRunner {
     next->clear();
     interp::RunStats rs;
     Status st = fused_interp_->RunFusedChain(
-        *batch, view, plan_->fused_translation, plan_->fused->body_start, next,
-        &rs, &chain_state_);
-    const int64_t n = static_cast<int64_t>(batch->size());
+        view, plan_->fused_translation, plan_->fused->body_start, next, &rs,
+        &chain_state_);
+    const int64_t n = static_cast<int64_t>(view.num_rows());
     meters_->udf_calls += n;  // one fused invocation per input row
     meters_->records_processed += n;
     meters_->interp_instructions += rs.instructions;
@@ -280,25 +306,30 @@ class ChainRunner {
   /// Adaptive pending capacity, set once from the first flushed batch's
   /// observed bytes per row — identical in fused and staged mode (the first
   /// flush happens at the configured capacity either way, so both modes
-  /// measure the same rows and adapt to the same threshold). Affects only
-  /// the pending flush threshold — the terminal SpillableBuffer keeps the
-  /// configured batch_capacity, so batch layouts downstream are untouched.
-  /// A pure function of (plan, data, dop), never of thread count.
-  void AdaptCapacity(const std::vector<Record>& batch) {
-    if (capacity_adapted_ || batch.empty()) return;
+  /// measure the same rows and adapt to the same threshold; a source row
+  /// counts at its widened size in both). Affects only the pending flush
+  /// threshold — the terminal SpillableBuffer keeps the configured
+  /// batch_capacity, so batch layouts downstream are untouched. A pure
+  /// function of (plan, data, dop), never of thread count.
+  void AdaptCapacity(const ColumnView& view) {
+    if (capacity_adapted_ || view.num_rows() == 0) return;
     capacity_adapted_ = true;
     size_t total = 0;
-    for (const Record& r : batch) total += r.SerializedSize();
-    size_t bpr = std::max<size_t>(1, total / batch.size());
+    for (size_t i = 0; i < view.num_rows(); ++i) {
+      total += view.RowSerializedSize(i);
+    }
+    size_t bpr = std::max<size_t>(1, total / view.num_rows());
     capacity_ = std::clamp<size_t>(kAdaptiveBatchBytes / bpr, 16, 4096);
   }
 
-  const ChainPlan* plan_;  // may be null (no chain)
+  const ChainPlan* plan_;  // never null; a chain may have no stage
   size_t capacity_;
   std::vector<Record> pending_;
+  std::vector<const Record*> pending_source_;  // source-row runners only
   std::vector<Record> scratch_[2];  // ping-pong stage outputs, reused
   SpillableBuffer* out_;
   const CancelToken* cancel_;  // borrowed; null when not cancellable
+  const std::vector<int>* source_positions_;  // borrowed; null: in-flight rows
   std::vector<std::unique_ptr<Interpreter>> interps_;
   std::unique_ptr<Interpreter> fused_interp_;  // set iff plan_->fused
   Interpreter::ChainState chain_state_;
@@ -333,6 +364,7 @@ class ExecContext {
   /// child's materialized output (Restream), and it is never specialized.
   StatusOr<Partitions> Exec(const PhysicalNode& top) {
     ChainPlan plan;
+    plan.input_width = static_cast<int>(af_.global.size());
     std::vector<ChainStage>& stages = plan.stages;  // collected top-down
     const PhysicalNode* n = &top;
     while (optimizer::IsStreamingStage(af_.flow->op(n->op_id), *n)) {
@@ -412,12 +444,11 @@ class ExecContext {
                          : &s.translation.output_map;
       fs.push_back(f);
     }
-    const int width = static_cast<int>(af_.global.size());
+    const int width = plan->input_width;
     std::optional<tac::FusedChainProgram> fused =
         tac::FuseMapChain(fs, width, sink_positions);
     if (!fused) return;
     plan->fused = std::move(fused);
-    plan->input_width = width;
     plan->fused_translation.global_width =
         sink_positions ? static_cast<int>(sink_positions->size()) : width;
     // Exec recursion is serial (producers run their subtree to completion
@@ -542,9 +573,15 @@ class ExecContext {
                                      af_.flow->op(node.op_id).name);
     }
     const OpProperties& p = af_.of(node.op_id);
-    const int width = af_.global.size();
     const DataSet& src = *it->second;
     const size_t dop = static_cast<size_t>(options_.dop);
+    // Global position -> source field. A source introduces its attributes,
+    // so the positions are distinct and inside the global record.
+    std::vector<int> positions(af_.global.size(), -1);
+    for (size_t f = 0; f < p.out_schema.size(); ++f) {
+      assert(positions[p.out_schema[f]] == -1);
+      positions[p.out_schema[f]] = static_cast<int>(f);
+    }
     Partitions parts = NewPartitions();
     // Partition pi scans the contiguous split [pi·N/dop, (pi+1)·N/dop) —
     // the byte-range split assignment of a distributed file scan. Contiguous
@@ -552,23 +589,16 @@ class ExecContext {
     // lineitem's orderkey order), which downstream batch and run-header
     // sketches inherit (DESIGN.md §2.5); a round-robin assignment would
     // interleave the whole table into every partition and make every sketch
-    // full-range. The widened record enters the chain: with fused stages
-    // above, it streams through them batch-wise and never materializes on
-    // its own.
+    // full-range. The runner reads the bound rows in place: a fused chain
+    // above builds only the records it emits, and any other chain widens
+    // each row to the global record once, at flush.
     Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
       ChainRunner runner(&chain, options_.batch_capacity, parts[pi].get(),
-                         meters, options_.cancel);
+                         meters, options_.cancel, &positions);
       const size_t lo = pi * src.size() / dop;
       const size_t hi = (pi + 1) * src.size() / dop;
       for (size_t i = lo; i < hi; ++i) {
-        const Record& rec = src.record(i);
-        Record wide;
-        if (width > 0) wide.SetField(width - 1, Value::Null());
-        for (size_t f = 0; f < rec.num_fields() && f < p.out_schema.size();
-             ++f) {
-          wide.SetField(p.out_schema[f], rec.field(f));
-        }
-        BLACKBOX_RETURN_NOT_OK(runner.Push(std::move(wide)));
+        BLACKBOX_RETURN_NOT_OK(runner.PushSource(&src.record(i)));
       }
       return runner.Flush();
     });

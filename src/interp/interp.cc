@@ -120,8 +120,7 @@ Status Interpreter::RunBatch(const std::vector<Record>& in,
   return Status::OK();
 }
 
-Status Interpreter::RunFusedChain(const std::vector<Record>& in,
-                                  const ColumnView& cols,
+Status Interpreter::RunFusedChain(const ColumnView& cols,
                                   const FieldTranslation& translation,
                                   int body_start, std::vector<Record>* out,
                                   RunStats* stats, ChainState* state) const {
@@ -129,15 +128,13 @@ Status Interpreter::RunFusedChain(const std::vector<Record>& in,
   if (ws.vals.size() != static_cast<size_t>(fn_->num_registers())) {
     ws.Resize(fn_->num_registers());
   }
+  // The body reads its input only through `cols`; input 0 stays an empty
+  // group, so the preamble or a stray KAT opcode fails cleanly.
   CallInputs ci;
   ci.groups.resize(1);
-  ci.groups[0].resize(1);
   const int n = static_cast<int>(fn_->instrs().size());
   if (!state->preamble_done_) {
-    // Constant preamble: once per chain-runner lifetime. It touches no
-    // input, but RunInternal wants a non-null input slot.
-    Record empty;
-    ci.groups[0][0] = &empty;
+    // Constant preamble: once per chain-runner lifetime.
     BLACKBOX_RETURN_NOT_OK(RunInternal(ci, translation, out, stats, &ws, 0,
                                        body_start, nullptr));
     state->preamble_done_ = true;
@@ -145,11 +142,10 @@ Status Interpreter::RunFusedChain(const std::vector<Record>& in,
   // No ws.Reset() between rows: fused bodies write every register before
   // reading it on the path that reads it (tac/fuse.h), and preamble
   // constants must persist.
-  for (size_t r = 0; r < in.size(); ++r) {
+  for (size_t r = 0; r < cols.num_rows(); ++r) {
     if (cancel_ != nullptr && r % kCancelCheckStride == 0) {
       BLACKBOX_RETURN_NOT_OK(cancel_->Check());
     }
-    ci.groups[0][0] = &in[r];
     FusedInput fi{&cols, r};
     BLACKBOX_RETURN_NOT_OK(RunInternal(ci, translation, out, stats, &ws,
                                        body_start, n, &fi));
@@ -165,6 +161,19 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
   const auto& instrs = fn_->instrs();
   std::vector<Value>& vals = ws->vals;
   std::vector<Record>& recs = ws->recs;
+  std::vector<const Record*>& refs = ws->rec_refs;
+  // Record register `reg` reads its own slot again, after a write into it.
+  auto own = [&](int reg) { refs[reg] = &recs[reg]; };
+  // An input load: a register the function never mutates borrows the
+  // caller's record; any other gets its own copy.
+  auto load = [&](const Record& in, int reg) {
+    if (fn_->borrows(reg)) {
+      refs[reg] = &in;
+    } else {
+      recs[reg] = in;
+      own(reg);
+    }
+  };
 
   auto input_pos = [&](int input, int local) -> int {
     if (translation.input_maps.empty()) return local;
@@ -295,7 +304,7 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
         int local = i.index_is_reg
                         ? static_cast<int>(vals[i.src1].ToDouble())
                         : static_cast<int>(i.imm_int);
-        const Record& rec = recs[i.src0];
+        const Record& rec = *refs[i.src0];
         int provenance = rec_input[i.src0];
         int pos;
         if (provenance >= 0) {
@@ -321,11 +330,14 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
           return Status::OutOfRange("setField position out of range in " +
                                     fn_->name());
         }
+        // Never a borrowed register: tac::Function::borrows excludes every
+        // setField destination.
         recs[i.dst].SetField(pos, vals[i.src0]);
         break;
       }
       case Opcode::kCopyRecord:
-        recs[i.dst] = recs[i.src0];
+        recs[i.dst] = *refs[i.src0];
+        own(i.dst);
         rec_input[i.dst] = rec_input[i.src0];
         break;
       case Opcode::kNewRecord: {
@@ -335,20 +347,21 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
           r.SetField(translation.global_width - 1, Value::Null());
         }
         recs[i.dst] = std::move(r);
+        own(i.dst);
         rec_input[i.dst] = -1;
         break;
       }
       case Opcode::kConcatRecords: {
+        const Record& a = *refs[i.src0];
+        const Record& b = *refs[i.src1];
         if (translation.concat_positions.empty()) {
-          recs[i.dst] = Record::Concat(recs[i.src0], recs[i.src1]);
+          recs[i.dst] = Record::Concat(a, b);
         } else {
           // Global-record merge: take each input's owned positions.
           Record r;
           if (translation.global_width > 0) {
             r.SetField(translation.global_width - 1, Value::Null());
           }
-          const Record& a = recs[i.src0];
-          const Record& b = recs[i.src1];
           for (int pos : translation.concat_positions[0]) {
             if (pos < static_cast<int>(a.num_fields())) {
               r.SetField(pos, a.field(pos));
@@ -361,25 +374,37 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
           }
           recs[i.dst] = std::move(r);
         }
+        own(i.dst);
         rec_input[i.dst] = -1;
         break;
       }
       case Opcode::kEmit: {
-        Record r = recs[i.src0];
+        // The register's last use on every path moves its own record out;
+        // anything else, a borrowed input included, is copied.
+        if (fn_->moves_at(pc) && refs[i.src0] == &recs[i.src0]) {
+          out->push_back(std::move(recs[i.src0]));
+        } else {
+          out->push_back(*refs[i.src0]);
+        }
+        Record& r = out->back();
         if (translation.global_width > 0 &&
             static_cast<int>(r.num_fields()) < translation.global_width) {
           r.SetField(translation.global_width - 1, Value::Null());
         }
-        out->push_back(std::move(r));
         if (stats) stats->emits++;
         break;
       }
       case Opcode::kInputRecord: {
-        const auto& group = inputs.groups[i.imm_int];
-        if (group.empty()) {
-          return Status::Internal("empty RAT input in " + fn_->name());
+        if (fused != nullptr) {
+          recs[i.dst] = fused->cols->Row(fused->row);
+          own(i.dst);
+        } else {
+          const auto& group = inputs.groups[i.imm_int];
+          if (group.empty()) {
+            return Status::Internal("empty RAT input in " + fn_->name());
+          }
+          load(*group[0], i.dst);
         }
-        recs[i.dst] = *group[0];
         rec_input[i.dst] = static_cast<int>(i.imm_int);
         break;
       }
@@ -401,7 +426,7 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
         if (pos < 0 || pos >= static_cast<int64_t>(group.size())) {
           return Status::OutOfRange("input_at out of range in " + fn_->name());
         }
-        recs[i.dst] = *group[pos];
+        load(*group[pos], i.dst);
         rec_input[i.dst] = static_cast<int>(i.imm_int);
         break;
       }

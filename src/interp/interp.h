@@ -65,19 +65,30 @@ class Interpreter {
  private:
   /// Reusable per-invocation state. Sized to the function's register count
   /// once; Reset() restores the fresh-call contents without reallocating.
+  ///
+  /// Record lifetimes (DESIGN.md §2.2): a record register reads through
+  /// rec_refs, which points either at its own slot in recs or, for a
+  /// register tac::Function::borrows, at the caller's input record. A
+  /// borrowed pointer lives for one call; every caller keeps its input
+  /// records alive and unmoved for that long. An emit the function marks as
+  /// moves_at moves the slot's record out, leaving the register null.
   struct Workspace {
     std::vector<Value> vals;
     std::vector<Record> recs;
+    std::vector<const Record*> rec_refs;
     std::vector<int> rec_input;
     std::vector<Record> emitted;  // RunBatch's per-call emit buffer
 
     /// First-use sizing on a fresh workspace: resize value-initializes vals
-    /// and recs, so only rec_input's "no provenance" sentinel needs filling.
-    /// The emit buffer's capacity is reserved here once — per-call use only
-    /// clears it, so steady-state batch runs never reallocate it.
+    /// and recs, so only rec_refs and rec_input's "no provenance" sentinel
+    /// need filling. The emit buffer's capacity is reserved here once —
+    /// per-call use only clears it, so steady-state batch runs never
+    /// reallocate it.
     void Resize(size_t num_registers) {
       vals.resize(num_registers);
       recs.resize(num_registers);
+      rec_refs.resize(num_registers);
+      OwnAll();
       rec_input.assign(num_registers, -2);
       emitted.reserve(8);
     }
@@ -86,7 +97,12 @@ class Interpreter {
     void Reset() {
       std::fill(vals.begin(), vals.end(), Value());
       std::fill(recs.begin(), recs.end(), Record());
+      OwnAll();
       std::fill(rec_input.begin(), rec_input.end(), -2);
+    }
+    /// Points every record register back at its own slot.
+    void OwnAll() {
+      for (size_t r = 0; r < recs.size(); ++r) rec_refs[r] = &recs[r];
     }
   };
 
@@ -112,8 +128,9 @@ class Interpreter {
   /// Persistent state for RunFusedChain, owned by one chain runner and
   /// reused across all its batches: the register workspace (sized once, and
   /// NOT reset between records — every fused-body register is written before
-  /// read on the path that reads it, see src/tac/fuse.h) plus whether the
-  /// constant preamble has run.
+  /// read on the path that reads it, see src/tac/fuse.h, so neither a moved
+  /// emit nor a previous row leaks into the next) plus whether the constant
+  /// preamble has run.
   class ChainState {
    private:
     friend class Interpreter;
@@ -126,7 +143,8 @@ class Interpreter {
   /// per-call counterpart of ChainState. The first call sizes the register
   /// workspace; every later call starts from Reset()'s fresh-call contents,
   /// so a sequence of Run(..., &state) calls is byte-identical, in output
-  /// and RunStats, to the same sequence of fresh Run() calls.
+  /// and RunStats, to the same sequence of fresh Run() calls: no borrowed
+  /// input and no moved-out register carries over into the next call.
   class CallState {
    private:
     friend class Interpreter;
@@ -134,7 +152,9 @@ class Interpreter {
   };
 
   /// Runs the UDF on the given inputs, appending emitted records to *out.
-  /// Equivalent to the CallState overload with a fresh state.
+  /// Equivalent to the CallState overload with a fresh state. The input
+  /// records must stay alive and unmoved until Run returns: registers the
+  /// function never mutates borrow them instead of copying.
   ///
   /// Thread-safety: Run is re-entrant — all interpreter state (registers,
   /// record slots, step counter) lives on the caller's stack or in the
@@ -161,13 +181,15 @@ class Interpreter {
                   std::vector<Record>* out, RunStats* stats = nullptr) const;
 
   /// Fused-chain entry point (DESIGN.md §2.6): runs a program produced by
-  /// tac::FuseMapChain over a batch of chain-input rows. The constant
-  /// preamble [0, body_start) executes once per ChainState lifetime; the
-  /// body runs once per row with kGetInputField reads served by `cols`
-  /// (which must view exactly `in`). `translation` must be the identity
-  /// translation of the emitted width (empty maps + global_width). Emitted
-  /// records are appended to *out in row order.
-  Status RunFusedChain(const std::vector<Record>& in, const ColumnView& cols,
+  /// tac::FuseMapChain over the batch of chain-input rows `cols` views. The
+  /// constant preamble [0, body_start) executes once per ChainState
+  /// lifetime; the body runs once per row and reads its input only through
+  /// `cols`: kGetInputField reads one field, kInputRecord takes
+  /// ColumnView::Row — a copy of an in-flight row, or the widened source
+  /// row. `translation` must be the identity translation of the emitted
+  /// width (empty maps + global_width). Emitted records are appended to *out
+  /// in row order.
+  Status RunFusedChain(const ColumnView& cols,
                        const FieldTranslation& translation, int body_start,
                        std::vector<Record>* out, RunStats* stats,
                        ChainState* state) const;

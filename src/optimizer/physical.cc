@@ -52,8 +52,17 @@ using Partitioning = std::set<AttrId>;
 /// an operator rewrites one of the attributes.
 using Ordering = std::vector<AttrId>;
 
+/// One costed alternative of a subtree: its root operator's strategies and
+/// cost terms (`op`, whose children stay empty) over the chosen alternatives
+/// of its inputs. Every candidate built on a child alternative shares it, so
+/// costing copies no subtree; Plan() builds the winner's tree once.
+struct CandNode {
+  PhysicalNode op;
+  std::vector<std::shared_ptr<const CandNode>> children;
+};
+
 struct Candidate {
-  std::shared_ptr<PhysicalNode> node;  // shared: candidates share subtrees
+  std::shared_ptr<const CandNode> node;  // shared: candidates share subtrees
   Partitioning partitioning;
   Ordering ordering;
   double cost = 0;
@@ -61,20 +70,21 @@ struct Candidate {
   double est_bytes_per_row = 0;
 };
 
-std::unique_ptr<PhysicalNode> ClonePhysical(const PhysicalNode& n) {
+/// The PhysicalNode tree of one candidate.
+std::unique_ptr<PhysicalNode> BuildTree(const CandNode& n) {
   auto out = std::make_unique<PhysicalNode>();
-  out->op_id = n.op_id;
-  out->ships = n.ships;
-  out->local = n.local;
-  out->input_presorted = n.input_presorted;
-  out->sort_order = n.sort_order;
-  out->chain_id = n.chain_id;
-  out->est_rows = n.est_rows;
-  out->est_bytes_per_row = n.est_bytes_per_row;
-  out->cost_network = n.cost_network;
-  out->cost_disk = n.cost_disk;
-  out->cost_cpu = n.cost_cpu;
-  for (const auto& c : n.children) out->children.push_back(ClonePhysical(*c));
+  out->op_id = n.op.op_id;
+  out->ships = n.op.ships;
+  out->local = n.op.local;
+  out->input_presorted = n.op.input_presorted;
+  out->sort_order = n.op.sort_order;
+  out->chain_id = n.op.chain_id;
+  out->est_rows = n.op.est_rows;
+  out->est_bytes_per_row = n.op.est_bytes_per_row;
+  out->cost_network = n.op.cost_network;
+  out->cost_disk = n.op.cost_disk;
+  out->cost_cpu = n.op.cost_cpu;
+  for (const auto& c : n.children) out->children.push_back(BuildTree(*c));
   return out;
 }
 
@@ -82,16 +92,16 @@ std::unique_ptr<PhysicalNode> ClonePhysical(const PhysicalNode& n) {
 /// tie-break key for equal-cost candidates (the new strategies routinely
 /// produce cost ties, e.g. two merge-join candidates declaring the left vs
 /// the right key property).
-std::string PhysicalKey(const PhysicalNode& n) {
-  std::string out = std::to_string(n.op_id);
+std::string PhysicalKey(const CandNode& n) {
+  std::string out = std::to_string(n.op.op_id);
   out += '/';
-  out += std::to_string(static_cast<int>(n.local));
-  for (ShipStrategy s : n.ships) {
+  out += std::to_string(static_cast<int>(n.op.local));
+  for (ShipStrategy s : n.op.ships) {
     out += ',';
     out += std::to_string(static_cast<int>(s));
   }
   out += '[';
-  for (AttrId a : n.sort_order) {
+  for (AttrId a : n.op.sort_order) {
     out += std::to_string(a);
     out += ' ';
   }
@@ -128,7 +138,7 @@ class PhysicalPlanner {
       }
     }
     PhysicalPlan out;
-    out.root = ClonePhysical(*best->node);
+    out.root = BuildTree(*best->node);
     out.total_cost = best->cost;
     out.num_chains = AssignChainIds(*af_.flow, out.root.get());
     return out;
@@ -250,17 +260,18 @@ class PhysicalPlanner {
                      double ship_rows_override = -1,
                      double ship_bpr_override = -1,
                      std::vector<uint8_t> presorted = {}) const {
-    auto node = std::make_shared<PhysicalNode>();
-    node->op_id = plan->op_id;
-    node->ships = ships;
-    node->local = local;
-    node->input_presorted = std::move(presorted);
-    node->sort_order = out_ordering;
-    node->est_rows = est_rows;
-    node->est_bytes_per_row = est_bpr;
+    auto node = std::make_shared<CandNode>();
+    PhysicalNode& op = node->op;
+    op.op_id = plan->op_id;
+    op.ships = ships;
+    op.local = local;
+    op.input_presorted = std::move(presorted);
+    op.sort_order = out_ordering;
+    op.est_rows = est_rows;
+    op.est_bytes_per_row = est_bpr;
     double child_cost = 0;
     for (size_t i = 0; i < child_cands.size(); ++i) {
-      node->children.push_back(ClonePhysical(*child_cands[i]->node));
+      node->children.push_back(child_cands[i]->node);
       child_cost += child_cands[i]->cost;
       // A combiner shrinks the shipped volume below the child's output
       // estimate; the override carries the post-combine volume (input 0).
@@ -272,9 +283,9 @@ class PhysicalPlanner {
       }
       local_net += ShipCost(ships[i], srows, sbpr);
     }
-    node->cost_network = local_net;
-    node->cost_disk = local_disk;
-    node->cost_cpu = local_cpu;
+    op.cost_network = local_net;
+    op.cost_disk = local_disk;
+    op.cost_cpu = local_cpu;
     Candidate c;
     c.cost = child_cost + local_net + local_disk + local_cpu;
     c.node = std::move(node);

@@ -13,27 +13,50 @@ const Value& NullValue() {
 }
 }  // namespace
 
+const Value& ColumnView::Field(size_t col, size_t row) const {
+  if (positions_ == nullptr) {
+    const Record& r = rows_[row];
+    return col < r.num_fields() ? r.field(col) : NullValue();
+  }
+  if (col >= positions_->size()) return NullValue();
+  const int f = (*positions_)[col];
+  const Record& r = *source_rows_[row];
+  return f >= 0 && static_cast<size_t>(f) < r.num_fields() ? r.field(f)
+                                                            : NullValue();
+}
+
 const Value& ColumnView::ValueAt(size_t col, size_t row) const {
   if (col >= cols_.size() || row >= num_rows_) return NullValue();
   std::vector<const Value*>& c = cols_[col];
   if (c.empty()) {
     c.resize(num_rows_);
-    for (size_t i = 0; i < num_rows_; ++i) {
-      const Record& r = rows_[i];
-      c[i] = col < r.num_fields() ? &r.field(col) : &NullValue();
-    }
+    for (size_t i = 0; i < num_rows_; ++i) c[i] = &Field(col, i);
     ++materialized_;
   }
   return *c[row];
+}
+
+Record ColumnView::Row(size_t row) const {
+  if (positions_ == nullptr) return rows_[row];
+  std::vector<Value> fields(positions_->size());
+  for (size_t g = 0; g < fields.size(); ++g) fields[g] = Field(g, row);
+  return Record(std::move(fields));
+}
+
+size_t ColumnView::RowSerializedSize(size_t row) const {
+  if (positions_ == nullptr) return rows_[row].SerializedSize();
+  size_t total = 4;  // Record::SerializedSize's field count header
+  for (size_t g = 0; g < positions_->size(); ++g) {
+    total += Field(g, row).SerializedSize();
+  }
+  return total;
 }
 
 ValueRange ColumnView::Range(size_t col) const {
   ValueRange r;  // admits nothing until a row widens it
   bool have_int = false, have_dbl = false, have_str = false;
   for (size_t i = 0; i < num_rows_; ++i) {
-    const Record& rec = rows_[i];
-    const Value& v =
-        col < rec.num_fields() ? rec.field(col) : NullValue();
+    const Value& v = Field(col, i);
     switch (v.type()) {
       case ValueType::kNull:
         r.may_null = true;

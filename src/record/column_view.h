@@ -6,10 +6,16 @@
 // engine can meter `projected_fields_skipped` as width minus materialized
 // columns.
 //
-// Lifetime contract: the view BORROWS the records. It must not outlive
-// them, and the records must not be moved or mutated while the view is
-// alive. The engine satisfies this by scoping one view to one
-// ProcessBatch call over the runner's pending rows.
+// The rows are either in-flight global records or bound source rows read
+// through a position map (global position -> source field). A source row
+// reads exactly as the global record Row() widens it to, so a scan's rows
+// reach a fused chain unwidened and only the rows it emits are ever built.
+//
+// Lifetime contract: the view BORROWS the records and the position map. It
+// must not outlive them, and the records must not be moved or mutated while
+// the view is alive. The engine satisfies this by scoping one view to one
+// ProcessBatch call over the runner's pending rows; a scan's pending rows
+// point into the bound source DataSet, which outlives the whole execution.
 
 #ifndef BLACKBOX_RECORD_COLUMN_VIEW_H_
 #define BLACKBOX_RECORD_COLUMN_VIEW_H_
@@ -24,11 +30,21 @@ namespace blackbox {
 
 class ColumnView {
  public:
-  /// Views `num_rows` records with a nominal width of `width` attribute
-  /// positions (positions at or past `width` read as Null without being
-  /// tracked as columns).
+  /// Views `num_rows` in-flight records with a nominal width of `width`
+  /// attribute positions (positions at or past `width` read as Null without
+  /// being tracked as columns).
   ColumnView(const Record* rows, size_t num_rows, size_t width)
       : rows_(rows), num_rows_(num_rows), cols_(width) {}
+
+  /// Views `num_rows` source rows through `positions`: global position g
+  /// reads source field positions[g] (-1: none), and a field the row does
+  /// not reach reads as Null. The width is positions.size().
+  ColumnView(const Record* const* source_rows, size_t num_rows,
+             const std::vector<int>& positions)
+      : source_rows_(source_rows),
+        positions_(&positions),
+        num_rows_(num_rows),
+        cols_(positions.size()) {}
 
   size_t num_rows() const { return num_rows_; }
   size_t width() const { return cols_.size(); }
@@ -44,11 +60,24 @@ class ColumnView {
   /// defeat the projection accounting of the run it skips.
   ValueRange Range(size_t col) const;
 
+  /// Row `row` as an in-flight record: a copy of the viewed in-flight row,
+  /// or the source row widened to `width()` positions, Null where the map
+  /// names no field the row reaches.
+  Record Row(size_t row) const;
+
+  /// Row(row).SerializedSize(), without building the record.
+  size_t RowSerializedSize(size_t row) const;
+
   /// Number of columns materialized so far by ValueAt.
   size_t materialized_columns() const { return materialized_; }
 
  private:
-  const Record* rows_;
+  /// Field `col` of row `row`, read straight from the row.
+  const Value& Field(size_t col, size_t row) const;
+
+  const Record* rows_ = nullptr;                 // in-flight rows, or
+  const Record* const* source_rows_ = nullptr;   // source rows read
+  const std::vector<int>* positions_ = nullptr;  // through this map
   size_t num_rows_;
   // One lazily-filled pointer vector per column; empty = not materialized
   // (a materialized column always holds num_rows entries, possibly pointing

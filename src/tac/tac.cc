@@ -1,5 +1,6 @@
 #include "tac/tac.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace blackbox {
@@ -479,8 +480,102 @@ StatusOr<Function> FunctionBuilder::Build() {
     fn_.instrs_[instr_idx].target = pos;
   }
   BLACKBOX_RETURN_NOT_OK(Verify());
+  DeriveRecordLifetimes();
   built_ = true;
   return fn_;
+}
+
+void FunctionBuilder::DeriveRecordLifetimes() {
+  const std::vector<Instr>& instrs = fn_.instrs_;
+  const int n = static_cast<int>(instrs.size());
+  const int regs = fn_.num_registers();
+  fn_.borrows_.assign(static_cast<size_t>(regs), 1);
+  for (const Instr& i : instrs) {
+    if (i.op == Opcode::kSetField) fn_.borrows_[i.dst] = 0;
+  }
+
+  // Backward liveness over record registers only, one bitset per
+  // instruction: live[pc] holds the registers some path from pc reads before
+  // redefining them; live[n] is the exit, where nothing is live. Loops branch
+  // backwards, so the pass repeats until nothing changes.
+  std::vector<int> slot(static_cast<size_t>(regs), -1);
+  size_t num_recs = 0;
+  for (int r = 0; r < regs; ++r) {
+    if (fn_.reg_types_[r] == RegType::kRecord) {
+      slot[r] = static_cast<int>(num_recs++);
+    }
+  }
+  const size_t words = (num_recs + 63) / 64;
+  std::vector<uint64_t> live((static_cast<size_t>(n) + 1) * words, 0);
+  std::vector<uint64_t> cur(words);
+  auto live_at = [&](int pc) {
+    return live.data() + static_cast<size_t>(pc) * words;
+  };
+  auto live_after = [&](int pc, uint64_t* into) {
+    std::fill(into, into + words, 0);
+    const Instr& i = instrs[pc];
+    auto merge = [&](int succ) {
+      const uint64_t* s = live_at(succ);
+      for (size_t w = 0; w < words; ++w) into[w] |= s[w];
+    };
+    if (i.op == Opcode::kReturn) return;
+    if (i.op != Opcode::kGoto) merge(pc + 1);
+    if (i.target >= 0) merge(i.target);
+  };
+  auto set = [&](int reg, bool on) {
+    int s = slot[reg];
+    uint64_t bit = uint64_t{1} << (s % 64);
+    if (on) {
+      cur[s / 64] |= bit;
+    } else {
+      cur[s / 64] &= ~bit;
+    }
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int pc = n - 1; pc >= 0; --pc) {
+      const Instr& i = instrs[pc];
+      live_after(pc, cur.data());
+      switch (i.op) {
+        case Opcode::kInputRecord:
+        case Opcode::kInputAt:
+        case Opcode::kNewRecord:
+          set(i.dst, false);
+          break;
+        case Opcode::kCopyRecord:
+          set(i.dst, false);
+          set(i.src0, true);
+          break;
+        case Opcode::kConcatRecords:
+          set(i.dst, false);
+          set(i.src0, true);
+          set(i.src1, true);
+          break;
+        case Opcode::kGetField:
+        case Opcode::kEmit:
+          set(i.src0, true);
+          break;
+        case Opcode::kSetField:  // read-modify-write: a use, not a redefinition
+          set(i.dst, true);
+          break;
+        default:
+          break;
+      }
+      uint64_t* at = live_at(pc);
+      if (!std::equal(cur.begin(), cur.end(), at)) {
+        std::copy(cur.begin(), cur.end(), at);
+        changed = true;
+      }
+    }
+  }
+  fn_.moves_.assign(static_cast<size_t>(n), 0);
+  for (int pc = 0; pc < n; ++pc) {
+    const Instr& i = instrs[pc];
+    if (i.op != Opcode::kEmit) continue;
+    live_after(pc, cur.data());
+    int s = slot[i.src0];
+    fn_.moves_[pc] = ((cur[s / 64] >> (s % 64)) & 1) == 0;
+  }
 }
 
 }  // namespace tac

@@ -130,6 +130,16 @@ class Function {
 
   const std::vector<Instr>& instrs() const { return instrs_; }
 
+  /// Record lifetimes (DESIGN.md §2.2), derived once by
+  /// FunctionBuilder::Build. borrows(reg): record register `reg` is never a
+  /// kSetField destination, so an input load into it may borrow the caller's
+  /// record instead of copying it.
+  bool borrows(int reg) const { return borrows_[reg] != 0; }
+  /// moves_at(pc): the instruction at `pc` is a kEmit whose register is dead
+  /// after it on every path, so the record may move out instead of being
+  /// copied.
+  bool moves_at(int pc) const { return moves_[pc] != 0; }
+
   /// Disassembly with instruction labels, in the style of the paper's §3
   /// listings.
   std::string ToString() const;
@@ -142,6 +152,8 @@ class Function {
   UdfKind kind_ = UdfKind::kRat;
   std::vector<Instr> instrs_;
   std::vector<RegType> reg_types_;
+  std::vector<uint8_t> borrows_;  // per register
+  std::vector<uint8_t> moves_;    // per instruction
 };
 
 /// Opaque register handle produced by the builder.
@@ -243,6 +255,7 @@ class FunctionBuilder {
   Reg NewReg(RegType type);
   void Push(Instr instr);
   Status Verify() const;
+  void DeriveRecordLifetimes();
 
   Function fn_;
   std::vector<int> label_positions_;          // label id -> instr index (-1 unbound)

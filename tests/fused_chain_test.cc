@@ -3,7 +3,8 @@
 // interpreting the chain stage by stage, for every control-flow shape the
 // fuser claims to handle — 0-emit paths, multi-emit with in-place mutation
 // between emits (field aliasing), permuted field translations, and the
-// terminal sink projection.
+// terminal sink projection — over in-flight rows and over source rows read
+// through a scan's position map.
 
 #include <algorithm>
 #include <random>
@@ -71,12 +72,12 @@ std::vector<Record> RunStaged(const std::vector<StageSpec>& stages,
   return projected;
 }
 
-/// Fuses the chain and runs the fused program over the batch. Returns false
-/// (leaving *out untouched) when the fuser bails — callers decide whether a
-/// bail is acceptable for the shape under test.
-bool RunFused(const std::vector<StageSpec>& stages,
-              const std::vector<Record>& input, int width,
-              const std::vector<int>* sink, std::vector<Record>* out) {
+/// Fuses the chain and runs the fused program over the rows `cols` views.
+/// Returns false (leaving *out untouched) when the fuser bails — callers
+/// decide whether a bail is acceptable for the shape under test.
+bool RunFusedOver(const std::vector<StageSpec>& stages, const ColumnView& cols,
+                  int width, const std::vector<int>* sink,
+                  std::vector<Record>* out) {
   std::vector<tac::FuseStage> fs;
   for (const StageSpec& s : stages) {
     tac::FuseStage f;
@@ -92,11 +93,18 @@ bool RunFused(const std::vector<StageSpec>& stages,
   t.global_width = sink ? static_cast<int>(sink->size()) : width;
   Interpreter interp(&fused->fn);
   Interpreter::ChainState state;
-  ColumnView cols(input.data(), input.size(), static_cast<size_t>(width));
-  Status st = interp.RunFusedChain(input, cols, t, fused->body_start, out,
-                                   nullptr, &state);
+  Status st =
+      interp.RunFusedChain(cols, t, fused->body_start, out, nullptr, &state);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return true;
+}
+
+/// RunFusedOver a view of in-flight rows.
+bool RunFused(const std::vector<StageSpec>& stages,
+              const std::vector<Record>& input, int width,
+              const std::vector<int>* sink, std::vector<Record>* out) {
+  ColumnView cols(input.data(), input.size(), static_cast<size_t>(width));
+  return RunFusedOver(stages, cols, width, sink, out);
 }
 
 void ExpectSameRecords(const std::vector<Record>& a,
@@ -292,10 +300,80 @@ Record RandomRecord(std::mt19937* rng, int width) {
   return r;
 }
 
+/// One scan's input: narrow source rows, the source's schema (source field
+/// -> global position) and the position map a scan reads them through
+/// (global position -> source field, -1 where no field maps).
+struct SourceRows {
+  std::vector<Record> rows;
+  std::vector<int> schema;
+  std::vector<int> positions;
+};
+
+/// Source rows for a `width`-wide global record: some positions unmapped,
+/// rows shorter than the schema or one field longer, nulls, and strings of
+/// 15 and 16 bytes (either side of Value's inline limit).
+SourceRows RandomSourceRows(std::mt19937* rng, int width, size_t num_rows) {
+  SourceRows s;
+  std::vector<int> perm(static_cast<size_t>(width));
+  for (int i = 0; i < width; ++i) perm[static_cast<size_t>(i)] = i;
+  std::shuffle(perm.begin(), perm.end(), *rng);
+  const size_t arity = 1 + (*rng)() % static_cast<size_t>(width);
+  s.schema.assign(perm.begin(), perm.begin() + static_cast<long>(arity));
+  s.positions.assign(static_cast<size_t>(width), -1);
+  for (size_t f = 0; f < arity; ++f) {
+    s.positions[static_cast<size_t>(s.schema[f])] = static_cast<int>(f);
+  }
+  for (size_t i = 0; i < num_rows; ++i) {
+    std::vector<Value> fields((*rng)() % (arity + 2));
+    for (Value& v : fields) {
+      switch ((*rng)() % 5) {
+        case 0: v = Value(static_cast<int64_t>((*rng)() % 200) - 100); break;
+        case 1: v = Value(((*rng)() % 400) / 8.0 - 25.0); break;
+        case 2: v = Value(std::string(15, 'a' + (*rng)() % 26)); break;
+        case 3: v = Value(std::string(16, 'a' + (*rng)() % 26)); break;
+        default: break;  // null
+      }
+    }
+    s.rows.push_back(Record(std::move(fields)));
+  }
+  return s;
+}
+
+/// Reference widening of one source row to the global record, written
+/// independently of ColumnView::Row: `width` nulls, then each source field
+/// at its schema position.
+Record WidenLikeScan(const Record& rec, const std::vector<int>& schema,
+                     int width) {
+  Record wide;
+  wide.SetField(static_cast<size_t>(width) - 1, Value::Null());
+  for (size_t f = 0; f < rec.num_fields() && f < schema.size(); ++f) {
+    wide.SetField(static_cast<size_t>(schema[f]), rec.field(f));
+  }
+  return wide;
+}
+
+void ExpectSameRange(const ValueRange& a, const ValueRange& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.may_null, b.may_null) << what;
+  EXPECT_EQ(a.may_int, b.may_int) << what;
+  EXPECT_EQ(a.int_lo, b.int_lo) << what;
+  EXPECT_EQ(a.int_hi, b.int_hi) << what;
+  EXPECT_EQ(a.may_double, b.may_double) << what;
+  EXPECT_EQ(a.dbl_lo, b.dbl_lo) << what;
+  EXPECT_EQ(a.dbl_hi, b.dbl_hi) << what;
+  EXPECT_EQ(a.may_str, b.may_str) << what;
+  EXPECT_EQ(a.str_lo, b.str_lo) << what;
+  EXPECT_EQ(a.str_hi, b.str_hi) << what;
+  EXPECT_EQ(a.str_hi_open, b.str_hi_open) << what;
+}
+
 // >= 100 seeds: random 1-3 stage chains, random rows, with and without a
 // sink projection. Every seed the fuser accepts must match the staged
 // interpretation byte for byte; the fuser must accept a healthy majority of
 // seeds (otherwise the generator quietly stopped covering the fused path).
+// Each accepted seed also runs a source-row arm: the chain reads narrow
+// source rows through a position map, and must match the staged run over
+// the same rows widened by WidenLikeScan.
 TEST(FusedChain, RandomizedDifferential) {
   int fused_seeds = 0;
   for (unsigned seed = 0; seed < 120; ++seed) {
@@ -314,19 +392,46 @@ TEST(FusedChain, RandomizedDifferential) {
         sink.push_back(static_cast<int>(rng() % width));
       }
     }
+    const std::vector<int>* sink_ptr = with_sink ? &sink : nullptr;
     std::vector<Record> input;
     size_t rows = 5 + rng() % 40;
     for (size_t i = 0; i < rows; ++i) {
       input.push_back(RandomRecord(&rng, width));
     }
     std::vector<Record> fused;
-    if (!RunFused(stages, input, width, with_sink ? &sink : nullptr, &fused)) {
+    if (!RunFused(stages, input, width, sink_ptr, &fused)) {
       continue;  // fuser bailed: staged path would run, nothing to compare
     }
     ++fused_seeds;
-    std::vector<Record> staged =
-        RunStaged(stages, input, width, with_sink ? &sink : nullptr);
-    ExpectSameRecords(staged, fused, "seed " + std::to_string(seed));
+    const std::string what = "seed " + std::to_string(seed);
+    ExpectSameRecords(RunStaged(stages, input, width, sink_ptr), fused, what);
+
+    const SourceRows src = RandomSourceRows(&rng, width, rows);
+    std::vector<Record> widened;
+    std::vector<const Record*> row_ptrs;
+    for (const Record& r : src.rows) {
+      widened.push_back(WidenLikeScan(r, src.schema, width));
+      row_ptrs.push_back(&r);
+    }
+    ColumnView mapped(row_ptrs.data(), row_ptrs.size(), src.positions);
+    ColumnView wide(widened.data(), widened.size(),
+                    static_cast<size_t>(width));
+    for (size_t col = 0; col <= static_cast<size_t>(width); ++col) {
+      ExpectSameRange(mapped.Range(col), wide.Range(col),
+                      what + " column " + std::to_string(col));
+    }
+    for (size_t i = 0; i < widened.size(); ++i) {
+      EXPECT_EQ(mapped.Row(i), widened[i]) << what << " row " << i;
+      EXPECT_EQ(mapped.RowSerializedSize(i), widened[i].SerializedSize())
+          << what << " row " << i;
+    }
+    std::vector<Record> from_source, from_wide;
+    ASSERT_TRUE(RunFusedOver(stages, mapped, width, sink_ptr, &from_source));
+    ASSERT_TRUE(RunFusedOver(stages, wide, width, sink_ptr, &from_wide));
+    ExpectSameRecords(RunStaged(stages, widened, width, sink_ptr), from_source,
+                      what + " source rows");
+    EXPECT_EQ(mapped.materialized_columns(), wide.materialized_columns())
+        << what;
   }
   EXPECT_GE(fused_seeds, 100) << "generator no longer covers the fused path";
 }

@@ -1,6 +1,39 @@
 #include "interp/interp.h"
 
+#include <cstdlib>
+#include <new>
+#include <string>
+
 #include <gtest/gtest.h>
+
+namespace {
+
+/// Heap allocations this thread makes while counting is on: the replacement
+/// operator new below counts them for the record-lifetime tests.
+thread_local bool t_counting = false;
+thread_local long t_allocations = 0;
+
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression (-Wmismatched-new-delete). The array forms are replaced too:
+// a sanitizer runtime supplies its own, which would bypass the count.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (t_counting) ++t_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace blackbox {
 namespace interp {
@@ -493,6 +526,255 @@ TEST(Interp, DynamicFieldIndexReadsAtRuntime) {
       fn, Record({Value(int64_t{2}), Value(int64_t{7}), Value(int64_t{9})}));
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(res[0].field(3).AsInt(), 9);  // field[field[0]] == field[2]
+}
+
+// --- Record lifetimes: borrowed inputs, moved emits (DESIGN.md §2.2) --------
+
+/// Program counter of the `nth` kEmit of `fn`.
+int EmitPc(const tac::Function& fn, int nth) {
+  for (int pc = 0; pc < static_cast<int>(fn.instrs().size()); ++pc) {
+    if (fn.instrs()[pc].op == tac::Opcode::kEmit && nth-- == 0) return pc;
+  }
+  ADD_FAILURE() << "no emit #" << nth;
+  return 0;
+}
+
+/// One single-record call per record.
+std::vector<CallInputs> RatCalls(const std::vector<Record>& records) {
+  std::vector<CallInputs> calls;
+  for (const Record& r : records) {
+    CallInputs ci;
+    ci.groups = {{&r}};
+    calls.push_back(std::move(ci));
+  }
+  return calls;
+}
+
+/// Rows with an int, a 15-byte (inline) and a 16-byte (heap) string.
+std::vector<Record> MixedRows() {
+  std::vector<Record> rows;
+  for (int64_t v : {4, -2, 9}) {
+    rows.push_back(Record({Value(v), Value(std::string(15, 'a' + v % 3)),
+                           Value(std::string(16, 'x'))}));
+  }
+  return rows;
+}
+
+TEST(Interp, RegisterEmittedTwiceMovesOnlyAtItsLastEmit) {
+  FunctionBuilder b("twice", 1, UdfKind::kRat);
+  Reg ir = b.InputRecord(0);
+  Reg out = b.Copy(ir);
+  b.SetField(out, 1, b.ConstInt(7));
+  b.Emit(out);
+  b.Emit(out);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+  EXPECT_TRUE(fn.borrows(ir.id));
+  EXPECT_FALSE(fn.borrows(out.id));
+  EXPECT_FALSE(fn.moves_at(EmitPc(fn, 0)));
+  EXPECT_TRUE(fn.moves_at(EmitPc(fn, 1)));
+
+  const std::vector<Record> rows = MixedRows();
+  ExpectCallStateMatchesFreshRuns(fn, {}, RatCalls(rows));
+  for (const Record& r : rows) {
+    std::vector<Record> got = RunRat(fn, r);
+    Record want = r;
+    want.SetField(1, Value(int64_t{7}));
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0], want);
+    EXPECT_EQ(got[1], want);
+  }
+}
+
+TEST(Interp, RegisterReadAfterItsEmitIsCopied) {
+  FunctionBuilder b("read_after", 1, UdfKind::kRat);
+  Reg ir = b.InputRecord(0);
+  Reg out = b.Copy(ir);
+  b.SetField(out, 0, b.ConstStr("sixteen-byte-str"));
+  b.Emit(out);
+  Reg again = b.NewRecord();
+  b.SetField(again, 0, b.GetField(out, 0));
+  b.SetField(again, 1, b.GetField(out, 2));
+  b.Emit(again);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+  EXPECT_FALSE(fn.moves_at(EmitPc(fn, 0)));
+  EXPECT_TRUE(fn.moves_at(EmitPc(fn, 1)));
+
+  const std::vector<Record> rows = MixedRows();
+  ExpectCallStateMatchesFreshRuns(fn, {}, RatCalls(rows));
+  for (const Record& r : rows) {
+    std::vector<Record> got = RunRat(fn, r);
+    Record want = r;
+    want.SetField(0, Value("sixteen-byte-str"));
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0], want);
+    EXPECT_EQ(got[1], Record({Value("sixteen-byte-str"), r.field(2)}));
+  }
+}
+
+TEST(Interp, RegisterEmittedInsideALoop) {
+  // `acc` grows by one field per iteration and is emitted each time, so only
+  // the emit after the loop may move it; `m` is rebuilt before every read,
+  // so its emit inside the loop moves.
+  FunctionBuilder b("loop", 1, UdfKind::kKat);
+  Reg n = b.InputCount(0);
+  Reg i = b.ConstInt(0);
+  Reg acc = b.NewRecord();
+  Label loop = b.NewLabel();
+  Label done = b.NewLabel();
+  b.Bind(loop);
+  b.BranchIfFalse(b.CmpLt(i, n), done);
+  Reg member = b.InputAt(0, i);
+  b.SetFieldDyn(acc, i, b.GetField(member, 2));
+  b.Emit(acc);
+  Reg m = b.Copy(member);
+  b.SetField(m, 1, i);
+  b.Emit(m);
+  b.AccumAdd(i, b.ConstInt(1));
+  b.Goto(loop);
+  b.Bind(done);
+  b.Emit(acc);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+  EXPECT_TRUE(fn.borrows(member.id));
+  EXPECT_FALSE(fn.moves_at(EmitPc(fn, 0)));
+  EXPECT_TRUE(fn.moves_at(EmitPc(fn, 1)));
+  EXPECT_TRUE(fn.moves_at(EmitPc(fn, 2)));
+
+  const std::vector<Record> rows = MixedRows();
+  std::vector<CallInputs> calls(2);
+  calls[0].groups = {{&rows[0], &rows[1], &rows[2]}};
+  calls[1].groups = {{&rows[2]}};
+  ExpectCallStateMatchesFreshRuns(fn, {}, calls);
+
+  Interpreter interp(&fn);
+  std::vector<Record> got;
+  ASSERT_TRUE(interp.Run(calls[0], {}, &got).ok());
+  ASSERT_EQ(got.size(), 7u);
+  Record grown;
+  for (int64_t k = 0; k < 3; ++k) {
+    grown.Append(rows[k].field(2));
+    EXPECT_EQ(got[2 * k], grown);
+    Record want = rows[k];
+    want.SetField(1, Value(k));
+    EXPECT_EQ(got[2 * k + 1], want);
+  }
+  EXPECT_EQ(got[6], grown);
+}
+
+TEST(Interp, BorrowedInputIsCopiedAndNeverChanged) {
+  FunctionBuilder b("borrow_copy", 1, UdfKind::kRat);
+  Reg ir = b.InputRecord(0);
+  Reg out = b.Copy(ir);
+  b.SetField(out, 2, b.ConstStr("replaced"));
+  b.Emit(out);
+  b.Emit(ir);  // the last use of a borrowed register still copies
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+  EXPECT_TRUE(fn.borrows(ir.id));
+  EXPECT_TRUE(fn.moves_at(EmitPc(fn, 1)));
+
+  const std::vector<Record> rows = MixedRows();
+  const std::vector<Record> before = rows;
+  ExpectCallStateMatchesFreshRuns(fn, {}, RatCalls(rows));
+  for (size_t k = 0; k < rows.size(); ++k) {
+    std::vector<Record> got = RunRat(fn, rows[k]);
+    Record want = rows[k];
+    want.SetField(2, Value("replaced"));
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0], want);
+    EXPECT_EQ(got[1], before[k]);
+  }
+  EXPECT_EQ(rows, before) << "a call changed its borrowed input";
+}
+
+/// Allocations made by one call of `fn` through a CallState that a first,
+/// uncounted call has already sized.
+long SecondCallAllocations(const Interpreter& interp,
+                           const FieldTranslation& t, const CallInputs& ci,
+                           std::vector<Record>* out) {
+  Interpreter::CallState state;
+  EXPECT_TRUE(interp.Run(ci, t, out, nullptr, &state).ok());
+  t_allocations = 0;
+  t_counting = true;
+  Status st = interp.Run(ci, t, out, nullptr, &state);
+  t_counting = false;
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return t_allocations;
+}
+
+TEST(Interp, ConcatJoinCallAllocatesOnlyItsOutput) {
+  // The engine's join UDF: both inputs borrowed, the concat moved out. Its
+  // one allocation is the emitted record's field vector.
+  FunctionBuilder b("join", 2, UdfKind::kRat);
+  Reg l = b.InputRecord(0);
+  Reg r = b.InputRecord(1);
+  b.Emit(b.Concat(l, r));
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+
+  FieldTranslation t;
+  t.global_width = 4;
+  t.input_maps = {{0, 1}, {2, 3}};
+  t.output_map = {0, 1, 2, 3};
+  t.concat_positions = {{0, 1}, {2, 3}};
+  const Record left({Value(int64_t{1}), Value("left"), Value(), Value()});
+  const Record right({Value(), Value(), Value(int64_t{2}), Value("right")});
+  CallInputs ci;
+  ci.groups = {{&left}, {&right}};
+
+  Interpreter interp(&fn);
+  std::vector<Record> out;
+  out.reserve(2);
+  EXPECT_EQ(SecondCallAllocations(interp, t, ci, &out), 1);
+  ASSERT_EQ(out.size(), 2u);
+  const Record want({Value(int64_t{1}), Value("left"), Value(int64_t{2}),
+                     Value("right")});
+  EXPECT_EQ(out[0], want);
+  EXPECT_EQ(out[1], want);
+}
+
+TEST(Interp, GroupLoopBorrowsEveryMember) {
+  // A γ-shaped aggregate: it reads every member of the group once and emits
+  // one record. Borrowed members cost nothing, so a group of 100 members
+  // allocates exactly what a group of one does — the output's copy.
+  FunctionBuilder b("sum", 1, UdfKind::kKat);
+  Reg n = b.InputCount(0);
+  Reg i = b.ConstInt(0);
+  Reg sum = b.ConstInt(0);
+  Label loop = b.NewLabel();
+  Label done = b.NewLabel();
+  b.Bind(loop);
+  b.BranchIfFalse(b.CmpLt(i, n), done);
+  b.AccumAdd(sum, b.GetField(b.InputAt(0, i), 1));
+  b.AccumAdd(i, b.ConstInt(1));
+  b.Goto(loop);
+  b.Bind(done);
+  Reg orec = b.Copy(b.InputAt(0, b.ConstInt(0)));
+  b.SetField(orec, 1, sum);
+  b.Emit(orec);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+
+  std::vector<Record> members;
+  for (int64_t v = 0; v < 100; ++v) {
+    members.push_back(Record({Value(std::string(20, 'm')), Value(v)}));
+  }
+  CallInputs group, single;
+  group.groups.resize(1);
+  for (const Record& m : members) group.groups[0].push_back(&m);
+  single.groups = {{&members[0]}};
+
+  Interpreter interp(&fn);
+  std::vector<Record> out;
+  out.reserve(4);
+  const long one = SecondCallAllocations(interp, {}, single, &out);
+  const long hundred = SecondCallAllocations(interp, {}, group, &out);
+  EXPECT_EQ(hundred, one) << "a group member was copied";
+  EXPECT_EQ(one, 2) << "the output's field vector and its 20-byte string";
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[3], Record({Value(std::string(20, 'm')), Value(int64_t{4950})}));
 }
 
 }  // namespace
