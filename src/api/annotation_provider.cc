@@ -37,10 +37,10 @@ StatusOr<dataflow::AnnotatedFlow> ProfilerProvider::Annotate(
       snapshot->op(id).hints = dataflow::Hints();
     }
   }
-  StatusOr<optimizer::FlowProfile> profile =
-      optimizer::ProfileFlow(*snapshot, sources, options_.profile);
+  StatusOr<FlowProfile> profile =
+      ProfileFlow(*snapshot, sources, options_.profile);
   if (!profile.ok()) return profile.status();
-  optimizer::ApplyProfile(*profile, snapshot.get());
+  ApplyProfile(*profile, snapshot.get());
 
   return dataflow::Annotate(
       std::shared_ptr<const dataflow::DataFlow>(std::move(snapshot)),

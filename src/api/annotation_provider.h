@@ -13,10 +13,10 @@
 #include <map>
 #include <string>
 
+#include "api/profiler.h"
 #include "common/status.h"
 #include "dataflow/annotate.h"
 #include "dataflow/flow.h"
-#include "optimizer/profiler.h"
 #include "record/record.h"
 
 namespace blackbox {
@@ -35,12 +35,12 @@ class AnnotationProvider {
 
   virtual std::string name() const = 0;
 
-  /// True when Annotate() is a pure function of the flow — same flow, same
-  /// annotation, regardless of bound data or timing. Deterministic providers
-  /// are eligible for the plan cache (optimizer/plan_cache.h); providers
-  /// that measure bound data (the profiler) must return false or stale
+  /// True when Annotate() reads the bound data, so the same flow annotates
+  /// differently over different data. Only providers that read nothing but
+  /// the flow are eligible for the plan cache (optimizer/plan_cache.h); one
+  /// that measures bound data (the profiler) must return true or stale
   /// data-dependent hints would be served to unrelated datasets.
-  virtual bool deterministic() const { return true; }
+  virtual bool uses_bound_data() const { return false; }
 
   /// Derives the UDF annotations of `flow`. The result owns a private
   /// snapshot of the flow (AnnotatedFlow::owner), so providers that refine
@@ -71,14 +71,15 @@ class ManualProvider : public AnnotationProvider {
 };
 
 /// Profiler-refined hints (§7.1 lists runtime profiling as a hint source;
-/// §9 names it as future work): executes the original flow over a sample of
-/// every bound source, writes the measured selectivity / CPU cost / distinct
-/// keys into the operators' hints, then annotates with `base_mode`. Requires
-/// data to be bound for every source before Optimize().
+/// §9 names it as future work): runs the authored plan through the engine
+/// over a sample of every bound source (api/profiler.h), writes the metered
+/// selectivity / CPU cost / distinct keys into the operators' hints, then
+/// annotates with `base_mode`. Requires data to be bound for every source
+/// before Optimize().
 class ProfilerProvider : public AnnotationProvider {
  public:
   struct Options {
-    optimizer::ProfileOptions profile;
+    ProfileOptions profile;
     /// How the read/write sets themselves are obtained; profiling only
     /// refines the cost hints.
     dataflow::AnnotationMode base_mode = dataflow::AnnotationMode::kSca;
@@ -96,7 +97,7 @@ class ProfilerProvider : public AnnotationProvider {
   /// Profiled hints are measured from the bound sample data — two pipelines
   /// with identical code but different data annotate differently, so the
   /// plan cache must not serve one the other's plans.
-  bool deterministic() const override { return false; }
+  bool uses_bound_data() const override { return true; }
   StatusOr<dataflow::AnnotatedFlow> Annotate(
       const dataflow::DataFlow& flow,
       const SourceBindings& sources) const override;

@@ -187,7 +187,7 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
   OptimizedProgram program;
   program.sources_ = sources;
   program.exec_ = options.exec;
-  const bool cacheable = options.use_plan_cache && provider.deterministic();
+  const bool cacheable = options.use_plan_cache && !provider.uses_bound_data();
   std::string cache_key;
   if (cacheable) {
     cache_key = optimizer::PlanCacheKey(

@@ -102,6 +102,21 @@ std::vector<ValueRange> SketchRanges(const ZoneMapSketch& sketch) {
   return cols;
 }
 
+/// Meters `calls` UDF calls of operator `op_id` that emitted `rows_out`
+/// records: into the plan totals and into the operator's per_op entry (one
+/// per flow operator in every partition task's meters).
+void MeterUdf(int op_id, int64_t calls, int64_t rows_out,
+              const interp::RunStats& rs, ExecStats* meters) {
+  meters->udf_calls += calls;
+  meters->interp_instructions += rs.instructions;
+  meters->cpu_burn_units += rs.cpu_burn_units;
+  ExecStats::OpMeters& m = meters->per_op[static_cast<size_t>(op_id)];
+  m.udf_calls += calls;
+  m.rows_out += rows_out;
+  m.interp_instructions += rs.instructions;
+  m.cpu_burn_units += rs.cpu_burn_units;
+}
+
 /// A CallInputs of `n` single-record inputs, built once per partition task;
 /// the task reassigns its record pointers before every call.
 CallInputs RecordInputs(size_t n) {
@@ -233,10 +248,10 @@ class ChainRunner {
       if (s.op != nullptr) {
         interp::RunStats rs;
         Status st = interps_[si]->RunBatch(*cur, s.translation, next, &rs);
-        meters_->udf_calls += static_cast<int64_t>(cur->size());
-        meters_->records_processed += static_cast<int64_t>(cur->size());
-        meters_->interp_instructions += rs.instructions;
-        meters_->cpu_burn_units += rs.cpu_burn_units;
+        const int64_t n = static_cast<int64_t>(cur->size());
+        meters_->records_processed += n;
+        MeterUdf(s.op->id, n, static_cast<int64_t>(next->size()), rs,
+                 meters_);
         BLACKBOX_RETURN_NOT_OK(st);
       } else {
         // Sink projection stage: a field copy that runs no UDF, so it
@@ -288,10 +303,12 @@ class ChainRunner {
         view, plan_->fused_translation, plan_->fused->body_start, next, &rs,
         &chain_state_);
     const int64_t n = static_cast<int64_t>(view.num_rows());
-    meters_->udf_calls += n;  // one fused invocation per input row
+    // One fused invocation per input row. The chain is one program, so it
+    // is charged to its bottom stage — a Map, as TryFuse keeps the sink
+    // stage last.
     meters_->records_processed += n;
-    meters_->interp_instructions += rs.instructions;
-    meters_->cpu_burn_units += rs.cpu_burn_units;
+    MeterUdf(plan_->stages.front().op->id, n,
+             static_cast<int64_t>(next->size()), rs, meters_);
     meters_->specialized_instructions_saved +=
         plan_->fused->static_saved_per_record * n;
     meters_->projected_fields_skipped +=
@@ -544,6 +561,9 @@ class ExecContext {
     const size_t n = static_cast<size_t>(options_.dop);
     std::vector<Status> statuses(n);
     std::vector<ExecStats> meters(n);
+    for (ExecStats& m : meters) {
+      m.per_op.resize(static_cast<size_t>(af_.flow->num_ops()));
+    }
     pool_->ParallelFor(
         n,
         [&](size_t pi) {
@@ -690,15 +710,15 @@ class ExecContext {
 
   /// One UDF call, metered. `state` is the calling task's workspace for
   /// `interp`, reused across all of that task's calls.
-  static Status CallUdf(const Interpreter& interp,
+  static Status CallUdf(int op_id, const Interpreter& interp,
                         Interpreter::CallState& state,
                         const CallInputs& inputs, const FieldTranslation& t,
                         std::vector<Record>* out, ExecStats* meters) {
     interp::RunStats rs;
+    const size_t before = out->size();
     BLACKBOX_RETURN_NOT_OK(interp.Run(inputs, t, out, &rs, &state));
-    meters->udf_calls++;
-    meters->interp_instructions += rs.instructions;
-    meters->cpu_burn_units += rs.cpu_burn_units;
+    MeterUdf(op_id, 1, static_cast<int64_t>(out->size() - before), rs,
+             meters);
     return Status::OK();
   }
 
@@ -798,7 +818,7 @@ class ExecContext {
         ci.groups[0].clear();
         for (const Record& r : members) ci.groups[0].push_back(&r);
         BLACKBOX_RETURN_NOT_OK(
-            CallUdf(interp, state, ci, t, &emitted, meters));
+            CallUdf(op.id, interp, state, ci, t, &emitted, meters));
         BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
       }
       BLACKBOX_RETURN_NOT_OK(runner.Flush());
@@ -860,7 +880,7 @@ class ExecContext {
                             SpillableBuffer* right,
                             const std::vector<AttrId>& lkey,
                             const std::vector<AttrId>& rkey, bool lsorted,
-                            bool rsorted, const Interpreter& interp,
+                            bool rsorted, int op_id, const Interpreter& interp,
                             Interpreter::CallState& state,
                             const FieldTranslation& t, ChainRunner* runner,
                             ExecStats* meters) {
@@ -902,7 +922,7 @@ class ExecContext {
           ci.groups[0][0] = &a;
           ci.groups[1][0] = &b;
           BLACKBOX_RETURN_NOT_OK(
-              CallUdf(interp, state, ci, t, &emitted, meters));
+              CallUdf(op_id, interp, state, ci, t, &emitted, meters));
           BLACKBOX_RETURN_NOT_OK(runner->Consume(&emitted));
         }
       }
@@ -930,7 +950,8 @@ class ExecContext {
                                 SpillableBuffer* probe,
                                 const std::vector<AttrId>& build_key,
                                 const std::vector<AttrId>& probe_key,
-                                bool build_left, const Interpreter& interp,
+                                bool build_left, int op_id,
+                                const Interpreter& interp,
                                 Interpreter::CallState& state,
                                 const FieldTranslation& t, ChainRunner* runner,
                                 ExecStats* meters) {
@@ -996,7 +1017,7 @@ class ExecContext {
               ci.groups[0][0] = build_left ? &b : &pb.record(i);
               ci.groups[1][0] = build_left ? &pb.record(i) : &b;
               BLACKBOX_RETURN_NOT_OK(
-                  CallUdf(interp, state, ci, t, &emitted, meters));
+                  CallUdf(op_id, interp, state, ci, t, &emitted, meters));
               BLACKBOX_RETURN_NOT_OK(runner->Consume(&emitted));
             }
           }
@@ -1036,7 +1057,7 @@ class ExecContext {
                            node.input_presorted[1];
             BLACKBOX_RETURN_NOT_OK(MergeJoinPartition(
                 pi, left[pi].get(), right[pi].get(), p.keys[0], p.keys[1],
-                lsorted, rsorted, interp, state, t, &runner, meters));
+                lsorted, rsorted, op.id, interp, state, t, &runner, meters));
             return runner.Flush();
           });
       if (!st.ok()) return st;
@@ -1077,12 +1098,12 @@ class ExecContext {
             !build->SpilledRunsAreKeyClustered(build_key)) {
           BLACKBOX_RETURN_NOT_OK(MergeJoinPartition(
               pi, left[pi].get(), right[pi].get(), p.keys[0], p.keys[1],
-              /*lsorted=*/false, /*rsorted=*/false, interp, state, t,
+              /*lsorted=*/false, /*rsorted=*/false, op.id, interp, state, t,
               &runner, meters));
         } else {
           BLACKBOX_RETURN_NOT_OK(BlockHashJoinPartition(
-              pi, build, probe, build_key, probe_key, build_left, interp,
-              state, t, &runner, meters));
+              pi, build, probe, build_key, probe_key, build_left, op.id,
+              interp, state, t, &runner, meters));
         }
         return runner.Flush();
       }
@@ -1118,7 +1139,7 @@ class ExecContext {
                 ci.groups[0][0] = build_left ? b : &r;
                 ci.groups[1][0] = build_left ? &r : b;
                 BLACKBOX_RETURN_NOT_OK(
-                    CallUdf(interp, state, ci, t, &emitted, meters));
+                    CallUdf(op.id, interp, state, ci, t, &emitted, meters));
                 BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
               }
             }
@@ -1179,7 +1200,7 @@ class ExecContext {
                     ci.groups[0][0] = &lb.record(i);
                     ci.groups[1][0] = &rb.record(j);
                     BLACKBOX_RETURN_NOT_OK(
-                        CallUdf(interp, state, ci, t, &emitted, meters));
+                        CallUdf(op.id, interp, state, ci, t, &emitted, meters));
                     BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
                   }
                 }
@@ -1201,8 +1222,9 @@ class ExecContext {
                       for (size_t j = 0; j < rb.size(); ++j) {
                         ci.groups[0][0] = &lb.record(i);
                         ci.groups[1][0] = &rb.record(j);
-                        BLACKBOX_RETURN_NOT_OK(
-                            CallUdf(interp, state, ci, t, &emitted, meters));
+                        BLACKBOX_RETURN_NOT_OK(CallUdf(op.id, interp, state,
+                                                       ci, t, &emitted,
+                                                       meters));
                         BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
                       }
                     }
@@ -1281,7 +1303,7 @@ class ExecContext {
           for (const Record& r : rmem) ci.groups[1].push_back(&r);
         }
         BLACKBOX_RETURN_NOT_OK(
-            CallUdf(interp, state, ci, t, &emitted, meters));
+            CallUdf(op.id, interp, state, ci, t, &emitted, meters));
         BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
         if (take_left) {
           lh = gl.NextGroup(meters, &lk, &lmem);
@@ -1323,6 +1345,14 @@ void ExecStats::AddCounters(const ExecStats& other) {
   fused_chains += other.fused_chains;
   specialized_instructions_saved += other.specialized_instructions_saved;
   projected_fields_skipped += other.projected_fields_skipped;
+  if (per_op.size() < other.per_op.size()) per_op.resize(other.per_op.size());
+  for (size_t i = 0; i < other.per_op.size(); ++i) {
+    OpMeters& m = per_op[i];
+    m.udf_calls += other.per_op[i].udf_calls;
+    m.rows_out += other.per_op[i].rows_out;
+    m.interp_instructions += other.per_op[i].interp_instructions;
+    m.cpu_burn_units += other.per_op[i].cpu_burn_units;
+  }
 }
 
 std::string ExecStats::ToString() const {

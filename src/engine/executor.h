@@ -234,6 +234,21 @@ struct ExecStats {
   /// is outside the ledger, like the bound source DataSets.
   int64_t peak_bytes = 0;
 
+  /// One operator's share of the UDF meters.
+  struct OpMeters {
+    int64_t udf_calls = 0;
+    int64_t rows_out = 0;  // records the operator's UDF calls emitted
+    int64_t interp_instructions = 0;
+    int64_t cpu_burn_units = 0;
+  };
+
+  /// The UDF meters per operator, indexed by op id, bumped at the same
+  /// sites as the plan totals: over every operator they sum to udf_calls,
+  /// interp_instructions and cpu_burn_units. A fused chain runs as one
+  /// program and is charged to its bottom Map (its rows_out are then the
+  /// chain's). Thread-count invariant like every meter above.
+  std::vector<OpMeters> per_op;
+
   double wall_seconds = 0;  // real elapsed time (varies with num_threads)
 
   /// The "execution runtime" the figure benchmarks report: modeled compute
@@ -242,9 +257,10 @@ struct ExecStats {
   /// Deterministic — derived from meters, not from wall_seconds.
   double simulated_seconds = 0;
 
-  /// Adds the additive meters (bytes, calls, records) of `other` into this;
-  /// leaves the derived time fields and the peak_bytes high-water mark
-  /// untouched. Used to merge per-partition task meters in partition order.
+  /// Adds the additive meters (bytes, calls, records, per_op) of `other`
+  /// into this; leaves the derived time fields and the peak_bytes high-water
+  /// mark untouched. Used to merge per-partition task meters in partition
+  /// order.
   void AddCounters(const ExecStats& other);
 
   std::string ToString() const;

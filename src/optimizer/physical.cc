@@ -52,6 +52,85 @@ using Partitioning = std::set<AttrId>;
 /// an operator rewrites one of the attributes.
 using Ordering = std::vector<AttrId>;
 
+// One function per cost term, read by both the candidate costing
+// (PhysicalPlanner) and the lower bound (BoundNode), so the bound prices
+// every term exactly as the candidates do.
+
+/// True if `partitioning` guarantees co-location of groups keyed on `key`:
+/// a non-empty partitioning on a subset of the key attributes.
+bool PartitioningServesKey(const Partitioning& partitioning,
+                           const std::vector<AttrId>& key) {
+  if (partitioning.empty()) return false;
+  for (AttrId a : partitioning) {
+    if (std::find(key.begin(), key.end(), a) == key.end()) return false;
+  }
+  return true;
+}
+
+double ShipCost(const CostWeights& w, ShipStrategy s, double rows,
+                double bytes_per_row) {
+  double bytes = rows * bytes_per_row;
+  switch (s) {
+    case ShipStrategy::kForward:
+      return 0;
+    case ShipStrategy::kPartitionHash:
+      // (dop-1)/dop of the data crosses the network.
+      return w.net_per_byte * bytes * (w.dop - 1) / w.dop;
+    case ShipStrategy::kBroadcast:
+      return w.net_per_byte * bytes * (w.dop - 1);
+  }
+  return 0;
+}
+
+/// CPU of sorting `rows` per-partition (also the cost of the engine's
+/// sort-based grouping): n log(n/dop) comparisons.
+double SortCpu(const CostWeights& w, double rows) {
+  return w.cpu_per_record * rows *
+         std::max(1.0, std::log2(std::max(2.0, rows / w.dop)));
+}
+
+/// Per-call CPU unit of a Map. A Map always consumes a forward-shipped
+/// stream, so with chain fusion it runs inside its chain; with
+/// specialization too it runs inside the chain's fused TAC program — no
+/// inter-stage handoff, dead stores folded away — so its per-call term is
+/// discounted (DESIGN.md §2.6).
+double MapCallUnit(const CostWeights& w) {
+  return w.enable_chain_fusion && w.enable_chain_specialization
+             ? w.cpu_per_call_unit * kSpecializationCpuDiscount
+             : w.cpu_per_call_unit;
+}
+
+/// Key groups — and so UDF calls — of a Reduce over `in_rows` records: the
+/// distinct-keys hint capped by the input, else one group per 16 records.
+double ReduceGroups(const dataflow::Operator& op, double in_rows) {
+  return op.hints.distinct_keys > 0
+             ? std::min<double>(static_cast<double>(op.hints.distinct_keys),
+                                in_rows)
+             : std::max(1.0, in_rows / 16.0);
+}
+
+/// Output rows and UDF calls of a Match or CoGroup over `lrows` × `rrows`
+/// inputs whose keys share a domain of distinct_keys values (without the
+/// hint: the larger input's row count). A CoGroup calls once per key; a
+/// Match meets each of l × r / domain pairs.
+struct KeyedCardinality {
+  double rows = 0;
+  double calls = 0;
+};
+
+KeyedCardinality KeyedBinaryCardinality(const dataflow::Operator& op,
+                                        double lrows, double rrows) {
+  double domain = op.hints.distinct_keys > 0
+                      ? static_cast<double>(op.hints.distinct_keys)
+                      : std::max({lrows, rrows, 1.0});
+  KeyedCardinality out;
+  out.rows = op.kind == OpKind::kCoGroup
+                 ? domain * op.hints.selectivity
+                 : lrows * rrows / domain * op.hints.selectivity;
+  out.calls = op.kind == OpKind::kCoGroup ? domain : out.rows;
+  return out;
+}
+
 /// One costed alternative of a subtree: its root operator's strategies and
 /// cost terms (`op`, whose children stay empty) over the chosen alternatives
 /// of its inputs. Every candidate built on a child alternative shares it, so
@@ -145,17 +224,6 @@ class PhysicalPlanner {
   }
 
  private:
-  /// True if `partitioning` guarantees co-location of groups keyed on `key`:
-  /// a non-empty partitioning on a subset of the key attributes.
-  static bool PartitioningServesKey(const Partitioning& partitioning,
-                                    const std::vector<AttrId>& key) {
-    if (partitioning.empty()) return false;
-    for (AttrId a : partitioning) {
-      if (std::find(key.begin(), key.end(), a) == key.end()) return false;
-    }
-    return true;
-  }
-
   /// True if data sorted by `ordering` is also sorted by the key vector:
   /// the key must be an exact prefix of the ordering (the executor's sort
   /// comparator is lexicographic in key-vector order).
@@ -181,20 +249,6 @@ class PhysicalPlanner {
     return out;
   }
 
-  double ShipCost(ShipStrategy s, double rows, double bytes_per_row) const {
-    double bytes = rows * bytes_per_row;
-    switch (s) {
-      case ShipStrategy::kForward:
-        return 0;
-      case ShipStrategy::kPartitionHash:
-        // (dop-1)/dop of the data crosses the network.
-        return w_.net_per_byte * bytes * (w_.dop - 1) / w_.dop;
-      case ShipStrategy::kBroadcast:
-        return w_.net_per_byte * bytes * (w_.dop - 1);
-    }
-    return 0;
-  }
-
   /// Disk cost of materializing `bytes` per instance when it exceeds the
   /// memory budget (sort spill / hash-table spill): write + re-read. This
   /// stays an estimate — the engine's measured disk_bytes may differ (it
@@ -206,13 +260,6 @@ class PhysicalPlanner {
     double per_instance = total_bytes / w_.dop;
     if (per_instance <= w_.mem_budget_bytes) return 0;
     return w_.disk_per_byte * 2 * total_bytes;
-  }
-
-  /// CPU of sorting `rows` per-partition (also the cost of the engine's
-  /// sort-based grouping): n log(n/dop) comparisons.
-  double SortCpu(double rows) const {
-    return w_.cpu_per_record * rows *
-           std::max(1.0, std::log2(std::max(2.0, rows / w_.dop)));
   }
 
   /// Per-lookup log(build/dop) factor over `build_rows` per instance,
@@ -281,7 +328,7 @@ class PhysicalPlanner {
         srows = ship_rows_override;
         sbpr = ship_bpr_override;
       }
-      local_net += ShipCost(ships[i], srows, sbpr);
+      local_net += ShipCost(w_, ships[i], srows, sbpr);
     }
     op.cost_network = local_net;
     op.cost_disk = local_disk;
@@ -329,17 +376,9 @@ class PhysicalPlanner {
           // fusion its input edge is fused: records flow through the chain
           // without a per-record materialize/dispatch step, and the engine
           // overhead term (cpu_per_record) is not charged (DESIGN.md §2.2).
-          // The UDF's own cost is unchanged.
-          // With specialization the Map runs inside the chain's fused TAC
-          // program — no inter-stage handoff, dead stores folded away — so
-          // its per-call term is discounted (DESIGN.md §2.6).
-          double call_unit =
-              w_.enable_chain_fusion && w_.enable_chain_specialization
-                  ? w_.cpu_per_call_unit * optimizer::kSpecializationCpuDiscount
-                  : w_.cpu_per_call_unit;
-          double cpu = call_unit * c.est_rows * op.hints.cpu_cost_per_call +
-                       (w_.enable_chain_fusion ? 0.0
-                                               : w_.cpu_per_record * c.est_rows);
+          double cpu =
+              MapCallUnit(w_) * c.est_rows * op.hints.cpu_cost_per_call +
+              (w_.enable_chain_fusion ? 0.0 : w_.cpu_per_record * c.est_rows);
           // A Map invalidates a partitioning if it rewrites partition attrs;
           // a sort order survives up to the first rewritten attribute.
           Partitioning part = c.partitioning;
@@ -361,11 +400,7 @@ class PhysicalPlanner {
         if (!child.ok()) return child.status();
         const std::vector<AttrId>& key = p.keys[0];
         for (const Candidate& c : *child) {
-          double groups = op.hints.distinct_keys > 0
-                              ? std::min<double>(
-                                    static_cast<double>(op.hints.distinct_keys),
-                                    c.est_rows)
-                              : std::max(1.0, c.est_rows / 16.0);
+          double groups = ReduceGroups(op, c.est_rows);
           double rows = groups * op.hints.selectivity;
           double bpr = c.est_bytes_per_row + 9.0 * p.introduced.listed().size();
           double in_bytes = c.est_rows * c.est_bytes_per_row;
@@ -384,7 +419,7 @@ class PhysicalPlanner {
               PartitioningServesKey(c.partitioning, key)) {
             bool presorted =
                 w_.enable_sort_merge && OrderingServesKey(c.ordering, key);
-            double sort_cpu = presorted ? 0 : SortCpu(c.est_rows);
+            double sort_cpu = presorted ? 0 : SortCpu(w_, c.est_rows);
             out.push_back(MakeCand(plan, {&c}, {ShipStrategy::kForward},
                                    LocalStrategy::kSortGroup, c.partitioning,
                                    out_order, rows, bpr, 0,
@@ -396,7 +431,7 @@ class PhysicalPlanner {
           out.push_back(MakeCand(plan, {&c}, {ShipStrategy::kPartitionHash},
                                  LocalStrategy::kSortGroup, key_part,
                                  out_order, rows, bpr, 0, disk,
-                                 call_cpu + SortCpu(c.est_rows)));
+                                 call_cpu + SortCpu(w_, c.est_rows)));
           // (c) Combiner: pre-aggregate partition-local groups before the
           // shuffle (legal iff the SCA summary proves combinability). Each
           // of the dop partitions holds at most `groups` distinct keys, so
@@ -405,8 +440,8 @@ class PhysicalPlanner {
             double partials = std::min(c.est_rows, groups * w_.dop);
             double pre_cpu = w_.cpu_per_call_unit * partials *
                                  op.hints.cpu_cost_per_call +
-                             SortCpu(c.est_rows);
-            double post_cpu = call_cpu + SortCpu(partials);
+                             SortCpu(w_, c.est_rows);
+            double post_cpu = call_cpu + SortCpu(w_, partials);
             double post_disk = SpillCost(partials * bpr);
             out.push_back(MakeCand(plan, {&c}, {ShipStrategy::kPartitionHash},
                                    LocalStrategy::kPreAggregate, key_part,
@@ -471,14 +506,10 @@ class PhysicalPlanner {
 
     const std::vector<AttrId>& lkey = p.keys[0];
     const std::vector<AttrId>& rkey = p.keys[1];
-    double domain = op.hints.distinct_keys > 0
-                        ? static_cast<double>(op.hints.distinct_keys)
-                        : std::max({lrows, rrows, 1.0});
-    double rows = op.kind == OpKind::kCoGroup
-                      ? domain * op.hints.selectivity
-                      : lrows * rrows / domain * op.hints.selectivity;
-    double calls = op.kind == OpKind::kCoGroup ? domain : rows;
-    double call_cpu = w_.cpu_per_call_unit * calls * op.hints.cpu_cost_per_call;
+    const KeyedCardinality card = KeyedBinaryCardinality(op, lrows, rrows);
+    double rows = card.rows;
+    double call_cpu =
+        w_.cpu_per_call_unit * card.calls * op.hints.cpu_cost_per_call;
     double record_cpu = w_.cpu_per_record * (lrows + rrows);
 
     bool l_served =
@@ -503,8 +534,8 @@ class PhysicalPlanner {
       double disk =
           (l_pre ? 0 : SpillCost(lrows * l.est_bytes_per_row)) +
           (r_pre ? 0 : SpillCost(rrows * r.est_bytes_per_row));
-      double cpu = call_cpu + record_cpu + (l_pre ? 0 : SortCpu(lrows)) +
-                   (r_pre ? 0 : SortCpu(rrows));
+      double cpu = call_cpu + record_cpu + (l_pre ? 0 : SortCpu(w_, lrows)) +
+                   (r_pre ? 0 : SortCpu(w_, rrows));
       std::vector<uint8_t> presorted = {static_cast<uint8_t>(l_pre),
                                         static_cast<uint8_t>(r_pre)};
       // Result is co-partitioned on both key sets and grouped in key order;
@@ -559,8 +590,8 @@ class PhysicalPlanner {
       bool l_pre = OrderingServesKey(l_order, lkey);
       bool r_pre = OrderingServesKey(r_order, rkey);
       double merge_cpu = call_cpu + 0.5 * record_cpu +
-                         (l_pre ? 0 : SortCpu(lrows)) +
-                         (r_pre ? 0 : SortCpu(rrows));
+                         (l_pre ? 0 : SortCpu(w_, lrows)) +
+                         (r_pre ? 0 : SortCpu(w_, rrows));
       double merge_disk =
           (l_pre ? 0 : SpillCost(lrows * l.est_bytes_per_row)) +
           (r_pre ? 0 : SpillCost(rrows * r.est_bytes_per_row));
@@ -694,28 +725,14 @@ struct BoundInfo {
 
 bool AnyPartitioningServes(const std::set<Partitioning>& parts,
                            const std::vector<AttrId>& key) {
-  for (const Partitioning& p : parts) {
-    if (p.empty()) continue;
-    bool subset = true;
-    for (AttrId a : p) {
-      if (std::find(key.begin(), key.end(), a) == key.end()) {
-        subset = false;
-        break;
-      }
-    }
-    if (subset) return true;
-  }
-  return false;
+  return std::any_of(parts.begin(), parts.end(), [&](const Partitioning& p) {
+    return PartitioningServesKey(p, key);
+  });
 }
 
-double HashShipLb(const CostWeights& w, double bytes) {
-  return w.net_per_byte * bytes * (w.dop - 1) / w.dop;
-}
-
-/// Identical formula to PhysicalPlanner::SortCpu.
-double SortCpuLb(const CostWeights& w, double rows) {
-  return w.cpu_per_record * rows *
-         std::max(1.0, std::log2(std::max(2.0, rows / w.dop)));
+/// ShipCost of a subtree's whole output.
+double ShipOut(const CostWeights& w, ShipStrategy s, const BoundInfo& b) {
+  return ShipCost(w, s, b.rows, b.bytes_per_row);
 }
 
 BoundInfo BoundNode(const dataflow::AnnotatedFlow& af,
@@ -738,12 +755,7 @@ BoundInfo BoundNode(const dataflow::AnnotatedFlow& af,
       BoundInfo c = BoundNode(af, plan->children[0], w);
       // Exact: a Map's input is always forward-shipped and its CPU does not
       // depend on any strategy choice.
-      // Same specialization discount as the candidate cost above — the bound
-      // must price Maps identically to stay admissible.
-      double call_unit = w.enable_chain_fusion && w.enable_chain_specialization
-                             ? w.cpu_per_call_unit * kSpecializationCpuDiscount
-                             : w.cpu_per_call_unit;
-      out.lb = c.lb + call_unit * c.rows * op.hints.cpu_cost_per_call +
+      out.lb = c.lb + MapCallUnit(w) * c.rows * op.hints.cpu_cost_per_call +
                (w.enable_chain_fusion ? 0.0 : w.cpu_per_record * c.rows);
       out.rows = c.rows * op.hints.selectivity;
       out.bytes_per_row =
@@ -763,11 +775,7 @@ BoundInfo BoundNode(const dataflow::AnnotatedFlow& af,
     case OpKind::kReduce: {
       BoundInfo c = BoundNode(af, plan->children[0], w);
       const std::vector<AttrId>& key = p.keys[0];
-      double groups =
-          op.hints.distinct_keys > 0
-              ? std::min<double>(static_cast<double>(op.hints.distinct_keys),
-                                 c.rows)
-              : std::max(1.0, c.rows / 16.0);
+      double groups = ReduceGroups(op, c.rows);
       out.rows = groups * op.hints.selectivity;
       out.bytes_per_row =
           c.bytes_per_row + 9.0 * p.introduced.listed().size();
@@ -780,14 +788,15 @@ BoundInfo BoundNode(const dataflow::AnnotatedFlow& af,
       // sort-order tracking) every candidate pays the grouping sort.
       double cpu = call_cpu + ((servable && w.enable_sort_merge)
                                    ? 0.0
-                                   : SortCpuLb(w, c.rows));
+                                   : SortCpu(w, c.rows));
       double net = 0;
       if (!servable) {
-        net = HashShipLb(w, c.rows * c.bytes_per_row);
+        net = ShipOut(w, ShipStrategy::kPartitionHash, c);
         if (w.enable_combiner && p.combinable) {
           // A combiner ships only partition-local partials.
           double partials = std::min(c.rows, groups * w.dop);
-          net = std::min(net, HashShipLb(w, partials * out.bytes_per_row));
+          net = std::min(net, ShipCost(w, ShipStrategy::kPartitionHash,
+                                       partials, out.bytes_per_row));
         }
       }
       out.lb = c.lb + cpu + net;
@@ -800,8 +809,6 @@ BoundInfo BoundNode(const dataflow::AnnotatedFlow& af,
     case OpKind::kCoGroup: {
       BoundInfo l = BoundNode(af, plan->children[0], w);
       BoundInfo r = BoundNode(af, plan->children[1], w);
-      double lbytes = l.rows * l.bytes_per_row;
-      double rbytes = r.rows * r.bytes_per_row;
       out.bytes_per_row = l.bytes_per_row + r.bytes_per_row +
                           9.0 * p.introduced.listed().size();
 
@@ -814,28 +821,25 @@ BoundInfo BoundNode(const dataflow::AnnotatedFlow& af,
                  w.cpu_per_call_unit * l.rows * r.rows *
                      op.hints.cpu_cost_per_call +
                  w.cpu_per_record * (l.rows + r.rows) +
-                 w.net_per_byte * std::min(lbytes, rbytes) * (w.dop - 1);
+                 std::min(ShipOut(w, ShipStrategy::kBroadcast, l),
+                          ShipOut(w, ShipStrategy::kBroadcast, r));
         return out;
       }
 
       const std::vector<AttrId>& lkey = p.keys[0];
       const std::vector<AttrId>& rkey = p.keys[1];
-      double domain = op.hints.distinct_keys > 0
-                          ? static_cast<double>(op.hints.distinct_keys)
-                          : std::max({l.rows, r.rows, 1.0});
-      out.rows = op.kind == OpKind::kCoGroup
-                     ? domain * op.hints.selectivity
-                     : l.rows * r.rows / domain * op.hints.selectivity;
-      double calls = op.kind == OpKind::kCoGroup ? domain : out.rows;
+      const KeyedCardinality card = KeyedBinaryCardinality(op, l.rows, r.rows);
+      out.rows = card.rows;
       double call_cpu =
-          w.cpu_per_call_unit * calls * op.hints.cpu_cost_per_call;
+          w.cpu_per_call_unit * card.calls * op.hints.cpu_cost_per_call;
       double record_cpu = w.cpu_per_record * (l.rows + r.rows);
       bool l_served =
           w.enable_partition_reuse && AnyPartitioningServes(l.parts, lkey);
       bool r_served =
           w.enable_partition_reuse && AnyPartitioningServes(r.parts, rkey);
-      double part_net = (l_served ? 0 : HashShipLb(w, lbytes)) +
-                        (r_served ? 0 : HashShipLb(w, rbytes));
+      double part_net =
+          (l_served ? 0 : ShipOut(w, ShipStrategy::kPartitionHash, l)) +
+          (r_served ? 0 : ShipOut(w, ShipStrategy::kPartitionHash, r));
       double cpu, net;
       if (op.kind == OpKind::kCoGroup) {
         // Every CoGroup candidate pays call + record CPU; sorts may be free
@@ -850,8 +854,8 @@ BoundInfo BoundNode(const dataflow::AnnotatedFlow& af,
               (w.enable_sort_merge ? 0.5 : 1.0) * record_cpu;
         net = part_net;
         if (w.enable_broadcast) {
-          net = std::min({net, w.net_per_byte * lbytes * (w.dop - 1),
-                          w.net_per_byte * rbytes * (w.dop - 1)});
+          net = std::min({net, ShipOut(w, ShipStrategy::kBroadcast, l),
+                          ShipOut(w, ShipStrategy::kBroadcast, r)});
         }
       }
       out.lb = l.lb + r.lb + cpu + net;

@@ -46,7 +46,7 @@ class PlanCacheValue {
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t bypasses = 0;  // lookups skipped (non-deterministic provider)
+  uint64_t bypasses = 0;  // lookups skipped (provider uses bound data)
   uint64_t evictions = 0;
   size_t entries = 0;
 };

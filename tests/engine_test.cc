@@ -13,6 +13,8 @@
 #include "common/rng.h"
 #include "core/optimizer_api.h"
 #include "tests/test_flows.h"
+#include "workloads/textmining.h"
+#include "workloads/tpch.h"
 #include "workloads/workload.h"
 
 namespace blackbox {
@@ -261,6 +263,69 @@ TEST(Engine, ReduceGroupsSignedZerosAndNaNsTogether) {
   }
   EXPECT_EQ(counts, (std::map<std::string, int64_t>{
                         {"nan", 3}, {"one", 1}, {"zero", 3}}));
+}
+
+/// ExecStats::per_op splits the plan's UDF meters by operator: summed over
+/// the operators they equal the totals, and no source or sink is charged,
+/// whether chains run fused and specialized, staged, or cut (--no-chain).
+void ExpectPerOpSumsToTotals(const workloads::Workload& w) {
+  BlackBoxOptimizer optimizer;
+  StatusOr<core::OptimizationResult> result = optimizer.Optimize(w.flow);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  struct Mode {
+    const char* name;
+    bool fuse_chains;
+    bool specialize;
+  };
+  for (const Mode& mode : {Mode{"fused", true, true},
+                           Mode{"specialization off", true, false},
+                           Mode{"no-chain", false, true}}) {
+    SCOPED_TRACE(mode.name);
+    ExecOptions eo;
+    eo.fuse_chains = mode.fuse_chains;
+    eo.enable_chain_specialization = mode.specialize;
+    Executor exec(&result->annotated, eo);
+    for (const auto& [src, data] : w.source_data) exec.BindSource(src, &data);
+    ExecStats stats;
+    StatusOr<DataSet> out = exec.Execute(result->best().physical, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    if (mode.fuse_chains && mode.specialize) {
+      EXPECT_GT(stats.fused_chains, 0);
+    }
+    ASSERT_EQ(stats.per_op.size(), static_cast<size_t>(w.flow.num_ops()));
+    ExecStats::OpMeters sum;
+    for (int id = 0; id < w.flow.num_ops(); ++id) {
+      const ExecStats::OpMeters& m = stats.per_op[static_cast<size_t>(id)];
+      dataflow::OpKind kind = w.flow.op(id).kind;
+      if (kind == dataflow::OpKind::kSource ||
+          kind == dataflow::OpKind::kSink) {
+        EXPECT_EQ(m.udf_calls, 0) << w.flow.op(id).name;
+        EXPECT_EQ(m.rows_out, 0) << w.flow.op(id).name;
+      }
+      sum.udf_calls += m.udf_calls;
+      sum.interp_instructions += m.interp_instructions;
+      sum.cpu_burn_units += m.cpu_burn_units;
+    }
+    EXPECT_GT(stats.udf_calls, 0);
+    EXPECT_EQ(sum.udf_calls, stats.udf_calls);
+    EXPECT_EQ(sum.interp_instructions, stats.interp_instructions);
+    EXPECT_EQ(sum.cpu_burn_units, stats.cpu_burn_units);
+  }
+}
+
+TEST(Engine, PerOpMetersSumToPlanTotalsOnQ7) {
+  workloads::TpchScale scale;
+  scale.lineitems = 2000;
+  scale.orders = 500;
+  scale.customers = 100;
+  scale.suppliers = 25;
+  ExpectPerOpSumsToTotals(workloads::MakeTpchQ7(scale));
+}
+
+TEST(Engine, PerOpMetersSumToPlanTotalsOnTextMining) {
+  workloads::TextMiningScale scale;
+  scale.documents = 300;
+  ExpectPerOpSumsToTotals(workloads::MakeTextMining(scale));
 }
 
 }  // namespace

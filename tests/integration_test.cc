@@ -6,10 +6,10 @@
 
 #include <set>
 
+#include "api/profiler.h"
 #include "common/rng.h"
 #include "core/optimizer_api.h"
 #include "engine/executor.h"
-#include "optimizer/profiler.h"
 #include "tests/test_flows.h"
 #include "workloads/clickstream.h"
 #include "workloads/tpch.h"
@@ -185,10 +185,9 @@ TEST(Integration, EndToEndProfiledOptimizationOnQ7) {
   }
   std::map<int, const DataSet*> srcs;
   for (const auto& [id, data] : w.source_data) srcs[id] = &data;
-  StatusOr<optimizer::FlowProfile> profile =
-      optimizer::ProfileFlow(w.flow, srcs);
+  StatusOr<api::FlowProfile> profile = api::ProfileFlow(w.flow, srcs);
   ASSERT_TRUE(profile.ok()) << profile.status().ToString();
-  optimizer::ApplyProfile(*profile, &w.flow);
+  api::ApplyProfile(*profile, &w.flow);
 
   core::BlackBoxOptimizer::Options opts;
   opts.top_k = core::kAllPlans;  // the >100 pin is a closure count

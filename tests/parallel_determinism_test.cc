@@ -95,6 +95,15 @@ void ExpectIdenticalMeters(const engine::ExecStats& a,
   EXPECT_EQ(a.projected_fields_skipped, b.projected_fields_skipped);
   EXPECT_EQ(a.peak_bytes, b.peak_bytes);
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
+  ASSERT_EQ(a.per_op.size(), b.per_op.size());
+  for (size_t i = 0; i < a.per_op.size(); ++i) {
+    SCOPED_TRACE("per_op[" + std::to_string(i) + "]");
+    EXPECT_EQ(a.per_op[i].udf_calls, b.per_op[i].udf_calls);
+    EXPECT_EQ(a.per_op[i].rows_out, b.per_op[i].rows_out);
+    EXPECT_EQ(a.per_op[i].interp_instructions,
+              b.per_op[i].interp_instructions);
+    EXPECT_EQ(a.per_op[i].cpu_burn_units, b.per_op[i].cpu_burn_units);
+  }
 }
 
 void ExpectThreadCountInvariance(const workloads::Workload& w,

@@ -210,7 +210,7 @@ TEST_F(PlanCacheTest, DifferentHintsMissTheCache) {
 TEST_F(PlanCacheTest, ProfilerProviderBypassesTheCache) {
   // Profiled hints are measured from bound data: serving another dataset a
   // cached plan ranked for this one would be wrong, so the provider's
-  // deterministic() == false must route around the cache entirely.
+  // uses_bound_data() == true must route around the cache entirely.
   workloads::ClickstreamScale scale;
   scale.sessions = 120;
   workloads::Workload w = workloads::MakeClickstream(scale);

@@ -1,9 +1,10 @@
 // Tests for the runtime profiler (the paper's §9 future-work item): measured
 // selectivities / key cardinalities must approximate the known ground truth
-// of the workload generators, and the optimizer fed with profiled hints must
-// agree with the manually hinted one on the best plan.
+// of the workload generators, the optimizer fed with profiled hints must
+// agree with the manually hinted one on the best plan, and a profile must be
+// a pure function of flow and data.
 
-#include "optimizer/profiler.h"
+#include "api/profiler.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 #include "workloads/tpch.h"
 
 namespace blackbox {
-namespace optimizer {
+namespace api {
 namespace {
 
 std::map<int, const DataSet*> SourcePtrs(const workloads::Workload& w) {
@@ -59,6 +60,73 @@ TEST(Profiler, ScalesDistinctKeysToFullDataSize) {
   const OperatorProfile& gamma = profile->per_op.at(4);
   EXPECT_GE(gamma.distinct_keys_scaled, 100);
   EXPECT_LE(gamma.distinct_keys_scaled, 1000);
+}
+
+TEST(Profiler, KeyJoinDomainIsTheKeyCount) {
+  workloads::TpchScale scale;
+  scale.lineitems = 20000;
+  scale.suppliers = 100;
+  workloads::Workload w = workloads::MakeTpchQ15(scale);
+
+  StatusOr<FlowProfile> profile = ProfileFlow(w.flow, SourcePtrs(w));
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+
+  // Operator 5 joins the 100 suppliers (kept whole) with the per-supplier
+  // revenue groups (a sample of them): every group finds its supplier, so
+  // l_rows × r_rows / calls is exactly the supplier count, whatever the
+  // sample fraction of the other side.
+  ASSERT_EQ(w.flow.op(5).kind, dataflow::OpKind::kMatch);
+  EXPECT_EQ(profile->per_op.at(5).distinct_keys_scaled, 100);
+}
+
+TEST(Profiler, ProfileIsDeterministic) {
+  workloads::ClickstreamScale scale;
+  scale.sessions = 4000;
+  scale.users = 400;
+  workloads::Workload w = workloads::MakeClickstream(scale);
+
+  StatusOr<FlowProfile> first = ProfileFlow(w.flow, SourcePtrs(w));
+  StatusOr<FlowProfile> second = ProfileFlow(w.flow, SourcePtrs(w));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_FALSE(first->per_op.empty());
+  EXPECT_TRUE(*first == *second);
+
+  dataflow::DataFlow a = w.flow;
+  dataflow::DataFlow b = w.flow;
+  ApplyProfile(*first, &a);
+  ApplyProfile(*second, &b);
+  for (int i = 0; i < a.num_ops(); ++i) {
+    SCOPED_TRACE(a.op(i).name);
+    EXPECT_EQ(a.op(i).hints.selectivity, b.op(i).hints.selectivity);
+    EXPECT_EQ(a.op(i).hints.cpu_cost_per_call,
+              b.op(i).hints.cpu_cost_per_call);
+    EXPECT_EQ(a.op(i).hints.distinct_keys, b.op(i).hints.distinct_keys);
+  }
+}
+
+TEST(Profiler, ProfiledQ15PicksTheHintedPlan) {
+  workloads::TpchScale scale;
+  scale.lineitems = 20000;
+  scale.suppliers = 100;
+  workloads::Workload w = workloads::MakeTpchQ15(scale);
+
+  core::BlackBoxOptimizer::Options opts;
+  opts.mode = dataflow::AnnotationMode::kSca;
+  core::BlackBoxOptimizer optimizer(opts);
+  StatusOr<core::OptimizationResult> hinted = optimizer.Optimize(w.flow);
+  ASSERT_TRUE(hinted.ok()) << hinted.status().ToString();
+
+  dataflow::DataFlow profiled_flow = w.flow;
+  StatusOr<FlowProfile> profile = ProfileFlow(w.flow, SourcePtrs(w));
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  ApplyProfile(*profile, &profiled_flow);
+  StatusOr<core::OptimizationResult> profiled =
+      optimizer.Optimize(profiled_flow);
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+
+  EXPECT_EQ(reorder::CanonicalString(hinted->best().logical),
+            reorder::CanonicalString(profiled->best().logical));
 }
 
 TEST(Profiler, ProfiledHintsReproduceTheManualBestPlan) {
@@ -123,5 +191,5 @@ TEST(Profiler, ApplyProfileNormalizesCpuCosts) {
 }
 
 }  // namespace
-}  // namespace optimizer
+}  // namespace api
 }  // namespace blackbox

@@ -22,9 +22,7 @@ Compared per figure run (matched by rank): estimated_cost (relative 1e-6),
 network/disk/peak bytes and udf_calls (exact). Compared per budget-sweep row
 (matched by budget): disk/peak bytes (exact). Compared per ablation row
 (matched by workload+config): plans, estimated_cost, byte meters,
-strategy-mix counters. Rows from profiler-based configs are skipped —
-profiled hints measure real per-call wall time and are not deterministic.
-Wall-clock fields are never compared.
+strategy-mix counters. Wall-clock fields are never compared.
 
 BENCH_serving.json (CI's serving-smoke step, DESIGN.md §2.4) is
 schema-checked rather than baselined: its latency percentiles are genuine
@@ -133,10 +131,6 @@ def rel_close(a, b):
     return abs(a - b) <= REL_TOL * max(abs(a), abs(b), 1.0)
 
 
-def nondeterministic(row):
-    return "profiled" in row.get("config", "")
-
-
 def extract_fig(fig):
     out = {k: fig[k] for k in FIG_TOP_KEYS}
     out["runs"] = [
@@ -159,7 +153,7 @@ def extract(dirname):
         "ablation_rows": [
             {k: row[k] for k in ["workload", "config", "estimated_cost"]
              + ABLATION_EXACT}
-            for row in ablation["rows"] if not nondeterministic(row)
+            for row in ablation["rows"]
         ],
     }
     for name, fname in FIG_FILES:
