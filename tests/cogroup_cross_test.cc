@@ -20,54 +20,9 @@ using tac::FunctionBuilder;
 using tac::Label;
 using tac::Reg;
 using tac::UdfKind;
-
-/// CoGroup UDF: emits every left-group record with the right-group size
-/// appended — record-preserving on the left input (copy semantics), so a
-/// left-side Map can move past it.
-std::shared_ptr<const tac::Function> MakeLeftCountCoGroup(int out_field) {
-  FunctionBuilder b("left_count_cogroup", 2, UdfKind::kKat);
-  Reg nl = b.InputCount(0);
-  Reg nr = b.InputCount(1);
-  Reg i = b.ConstInt(0);
-  Label loop = b.NewLabel();
-  Label done = b.NewLabel();
-  b.Bind(loop);
-  b.BranchIfFalse(b.CmpLt(i, nl), done);
-  Reg r = b.InputAt(0, i);
-  Reg out = b.Copy(r);
-  b.SetField(out, out_field, nr);
-  b.Emit(out);
-  b.AccumAdd(i, b.ConstInt(1));
-  b.Goto(loop);
-  b.Bind(done);
-  b.Return();
-  return testing::Built(std::move(b));
-}
-
-/// Map over R(key, x, z): z := z * 2 (one-to-one, touches only z).
-std::shared_ptr<const tac::Function> MakeDoubleZ() {
-  FunctionBuilder b("double_z", 1, UdfKind::kRat);
-  Reg ir = b.InputRecord(0);
-  Reg z = b.GetField(ir, 2);
-  Reg out = b.Copy(ir);
-  b.SetField(out, 2, b.Mul(z, b.ConstInt(2)));
-  b.Emit(out);
-  b.Return();
-  return testing::Built(std::move(b));
-}
-
-DataFlow MakeCoGroupFlow() {
-  DataFlow f;
-  int r = f.AddSource("R", 3, 100, 27);  // key, x, z
-  int s = f.AddSource("S", 2, 50, 18);   // key, y
-  Hints h;
-  h.distinct_keys = 10;
-  int cg = f.AddCoGroup("count_partners", r, s, {0}, {0},
-                        MakeLeftCountCoGroup(3), h);
-  int map = f.AddMap("double_z", cg, MakeDoubleZ());
-  f.SetSink("O", map);
-  return f;
-}
+using testing::MakeCoGroupFlow;
+using testing::MakeCrossFlow;
+using testing::MakeLeftCountCoGroup;
 
 TEST(CoGroup, MapPushesBelowCoGroupOnItsSide) {
   // §4.3.2: a Map whose UDF only touches R attributes can be pushed below
@@ -157,28 +112,6 @@ TEST(CoGroup, MapTouchingBothSidesDoesNotMove) {
 // ---------------------------------------------------------------------------
 // Cross
 // ---------------------------------------------------------------------------
-
-DataFlow MakeCrossFlow(int64_t params_rows) {
-  // R(x, z) × params(threshold) -> Map filter on x vs threshold.
-  DataFlow f;
-  int r = f.AddSource("R", 2, 200, 18);
-  int p = f.AddSource("params", 1, params_rows, 9, {0});
-  int cross = f.AddCross("combine", r, p,
-                         workloads::MakeConcatJoinUdf("combine"));
-  // Filter: keep records where x >= threshold (reads both sides!).
-  FunctionBuilder b("filter_by_param", 1, UdfKind::kRat);
-  Reg ir = b.InputRecord(0);
-  Reg x = b.GetField(ir, 0);
-  Reg t = b.GetField(ir, 2);
-  Label skip = b.NewLabel();
-  b.BranchIfFalse(b.CmpGe(x, t), skip);
-  b.Emit(b.Copy(ir));
-  b.Bind(skip);
-  b.Return();
-  int map = f.AddMap("filter_by_param", cross, testing::Built(std::move(b)));
-  f.SetSink("O", map);
-  return f;
-}
 
 TEST(Cross, MapReadingBothSidesStaysAbove) {
   DataFlow f = MakeCrossFlow(1);

@@ -1,7 +1,7 @@
 // Differential memory-budget oracle for the spill-to-disk breakers
-// (DESIGN.md §2.3): optimize each seed workload once, then execute EVERY
-// ranked closure alternative at budgets {unbounded, 256 KB, 32 KB, 4 KB} ×
-// {1, 8} worker threads, asserting
+// (DESIGN.md §2.3): optimize each seed workload, a CoGroup flow and a Cross
+// flow once, then execute EVERY ranked closure alternative at budgets
+// {unbounded, 256 KB, 32 KB, 4 KB} × {1, 8} worker threads, asserting
 //   * the sorted sink bytes of every run equal the original plan's
 //     unbounded-run output (spilling — including the hash-join's external
 //     sort-merge fallback — may permute record order, never the bag),
@@ -16,6 +16,11 @@
 //     Map-chain text-mining workload specialization must also cut
 //     interp_instructions >= 2x at every budget point.
 //
+// Every meter of every serial, skipping-off and specialization-off run is
+// folded into one FNV-1a digest per workload and chain mode, pinned below:
+// an engine refactor that moves any meter of any closure plan at any budget
+// fails here, even where every bag and bound above still holds.
+//
 // Also pins the estimate/measurement coupling: the optimizer's spill cost
 // term and the engine's measured disk bytes are zero/nonzero together at
 // the same budget, and CostWeights::enable_spill ablates the term away.
@@ -26,6 +31,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -33,7 +40,9 @@
 #include "api/optimized_program.h"
 #include "api/pipeline.h"
 #include "engine/executor.h"
+#include "common/rng.h"
 #include "reorder/plan.h"
+#include "tests/test_flows.h"
 #include "workloads/clickstream.h"
 #include "workloads/textmining.h"
 #include "workloads/tpch.h"
@@ -47,6 +56,16 @@ constexpr size_t kBatchCapacity = 16;
 constexpr int64_t kSlackBytes = 8 << 10;
 constexpr double kUnbounded = 1 << 30;
 
+/// Meter digests of the closure sweeps (SweepCounts::Digest), one per
+/// workload and chain mode. A change that moves a meter on purpose
+/// regenerates them from the lines the failure prints.
+constexpr uint64_t kQ7MeterDigest = 0x267d8d9c228d86f3;
+constexpr uint64_t kTextMiningFusedMeterDigest = 0x131239c55921c275;
+constexpr uint64_t kTextMiningUnfusedMeterDigest = 0x35ef1f8cca5c950c;
+constexpr uint64_t kClickstreamMeterDigest = 0x29942cab6910753b;
+constexpr uint64_t kCoGroupMeterDigest = 0xb6f806739457394b;
+constexpr uint64_t kCrossMeterDigest = 0x9c94d6fc7d849bb4;
+
 std::string SortedOutputBytes(const DataSet& ds) {
   std::vector<Record> sorted = ds.records();
   std::sort(sorted.begin(), sorted.end());
@@ -58,10 +77,88 @@ std::string SortedOutputBytes(const DataSet& ds) {
   return out;
 }
 
+/// One run's meters: every ExecStats field except wall_seconds, then each
+/// operator's per_op UDF meters.
+std::string MeterLine(const engine::ExecStats& s) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "net=%" PRId64 " disk=%" PRId64 " peak=%" PRId64
+                " calls=%" PRId64 " instrs=%" PRId64 " burn=%" PRId64
+                " records=%" PRId64 " out=%" PRId64 " skipped=%" PRId64
+                " skipped_spill=%" PRId64 " fused=%" PRId64
+                " saved=%" PRId64 " proj=%" PRId64 " sim=%.17g",
+                s.network_bytes, s.disk_bytes, s.peak_bytes, s.udf_calls,
+                s.interp_instructions, s.cpu_burn_units, s.records_processed,
+                s.output_rows, s.skipped_batches, s.skipped_spill_bytes,
+                s.fused_chains, s.specialized_instructions_saved,
+                s.projected_fields_skipped, s.simulated_seconds);
+  std::string line = buf;
+  for (const engine::ExecStats::OpMeters& m : s.per_op) {
+    std::snprintf(buf, sizeof(buf), " %" PRId64 "/%" PRId64 "/%" PRId64
+                  "/%" PRId64,
+                  m.udf_calls, m.rows_out, m.interp_instructions,
+                  m.cpu_burn_units);
+    line += buf;
+  }
+  return line;
+}
+
+/// The physical strategies of a plan, operator by operator, without any
+/// estimate: with the canonical logical form it names an alternative
+/// independently of its rank.
+std::string Strategies(const optimizer::PhysicalNode& n) {
+  std::string out = std::to_string(n.op_id) + ":" +
+                    optimizer::LocalStrategyName(n.local);
+  for (size_t i = 0; i < n.ships.size(); ++i) {
+    out += std::string(",") + optimizer::ShipStrategyName(n.ships[i]);
+    if (i < n.input_presorted.size() && n.input_presorted[i]) out += "+sorted";
+  }
+  out += "(";
+  for (const auto& c : n.children) out += Strategies(*c);
+  return out + ")";
+}
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 struct SweepCounts {
   size_t runs = 0;
   size_t spilled_at_4k = 0;
+  /// One line per (alternative, budget): the alternative's canonical plan
+  /// and strategies, then its serial, skipping-off and specialization-off
+  /// meters.
+  std::vector<std::string> meter_lines;
+
+  /// FNV-1a over the sorted meter lines: a ranking change alone does not
+  /// move it.
+  uint64_t Digest() const {
+    std::vector<std::string> lines = meter_lines;
+    std::sort(lines.begin(), lines.end());
+    std::string all;
+    for (const std::string& l : lines) all += l + "\n";
+    return Fnv1a(all);
+  }
 };
+
+/// Requires `counts`' meter digest to equal `pinned`; on a mismatch, prints
+/// every meter line so the moved meter can be found.
+void ExpectMeterDigest(const SweepCounts& counts, uint64_t pinned) {
+  uint64_t digest = counts.Digest();
+  if (digest == pinned) return;
+  std::string lines;
+  for (const std::string& l : counts.meter_lines) lines += l + "\n";
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, digest);
+  ADD_FAILURE() << "meter digest " << hex << " differs from the pinned one; "
+                << "meters per alternative and budget:\n"
+                << lines;
+}
 
 /// Sum of the estimated disk (spill) cost components over a physical tree.
 double TreeDiskCost(const optimizer::PhysicalNode& n) {
@@ -208,6 +305,14 @@ SweepCounts RunBudgetSweep(const workloads::Workload& w,
             << "x instruction bar at this budget";
       }
 
+      counts.meter_lines.push_back(
+          reorder::CanonicalString(alt.logical) + " " +
+          Strategies(*alt.physical.root) + " budget=" +
+          std::to_string(static_cast<int64_t>(budget)) +
+          "\n  serial: " + MeterLine(serial) +
+          "\n  noskip: " + MeterLine(noskip) +
+          "\n  nospec: " + MeterLine(nospec));
+
       if (budget >= kUnbounded) {
         EXPECT_EQ(serial.disk_bytes, 0)
             << "an unbounded run must never touch disk";
@@ -240,6 +345,7 @@ TEST(SpillEquivalence, TpchQ7ClosureSurvivesEveryBudget) {
   // must actually spill (disk_bytes > 0), not just meter.
   EXPECT_EQ(counts.spilled_at_4k, counts.runs / 4)
       << "every Q7 alternative must spill at the 4 KB budget";
+  ExpectMeterDigest(counts, kQ7MeterDigest);
 }
 
 TEST(SpillEquivalence, TextMiningClosureSurvivesEveryBudget) {
@@ -266,6 +372,8 @@ TEST(SpillEquivalence, TextMiningClosureSurvivesEveryBudget) {
   if (::testing::Test::HasFailure()) return;
   EXPECT_EQ(unfused.spilled_at_4k, unfused.runs / 4)
       << "every unfused text-mining run must spill at the 4 KB budget";
+  ExpectMeterDigest(fused, kTextMiningFusedMeterDigest);
+  ExpectMeterDigest(unfused, kTextMiningUnfusedMeterDigest);
 }
 
 TEST(SpillEquivalence, ClickstreamClosureSurvivesEveryBudget) {
@@ -279,6 +387,58 @@ TEST(SpillEquivalence, ClickstreamClosureSurvivesEveryBudget) {
   EXPECT_GT(counts.runs, 0u);
   EXPECT_EQ(counts.spilled_at_4k, counts.runs / 4)
       << "every clickstream alternative must spill at the 4 KB budget";
+  ExpectMeterDigest(counts, kClickstreamMeterDigest);
+}
+
+// CoGroup under a budget: at 4 KB both sides' external sorts spill. R has
+// 2,000 rows over keys 0–99 and S 800 rows over keys 0–149, so some keys
+// have an empty R side.
+TEST(SpillEquivalence, CoGroupClosureSurvivesEveryBudget) {
+  workloads::Workload w;
+  w.name = "cogroup";
+  w.flow = testing::MakeCoGroupFlow();
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    w.source_data[0].Add(Record({Value(rng.Uniform(0, 99)),
+                                 Value(rng.Uniform(0, 99)),
+                                 Value(rng.Uniform(0, 9))}));
+  }
+  for (int i = 0; i < 800; ++i) {
+    w.source_data[1].Add(
+        Record({Value(rng.Uniform(0, 149)), Value(rng.Uniform(0, 99))}));
+  }
+  api::ScaProvider sca;
+  SweepCounts counts = RunBudgetSweep(w, sca);
+  if (::testing::Test::HasFailure()) return;
+  EXPECT_EQ(counts.runs, 2u * 4u);  // both orders of MakeCoGroupFlow
+  EXPECT_EQ(counts.spilled_at_4k, counts.runs / 4)
+      << "every CoGroup alternative must spill at the 4 KB budget";
+  ExpectMeterDigest(counts, kCoGroupMeterDigest);
+}
+
+// Cross under a budget: the broadcast params side (300 rows, about 4.5 KB
+// per instance) outgrows a 4 KB instance, so the product runs as a block
+// nested loop that re-reads it from disk once per left batch; at 32 KB it
+// stays resident and the product's output spills instead.
+TEST(SpillEquivalence, CrossClosureSurvivesEveryBudget) {
+  workloads::Workload w;
+  w.name = "cross";
+  w.flow = testing::MakeCrossFlow(300);
+  Rng rng(37);
+  for (int i = 0; i < 200; ++i) {
+    w.source_data[0].Add(
+        Record({Value(rng.Uniform(0, 99)), Value(rng.Uniform(0, 9))}));
+  }
+  for (int i = 0; i < 300; ++i) {
+    w.source_data[1].Add(Record({Value(rng.Uniform(0, 99))}));
+  }
+  api::ScaProvider sca;
+  SweepCounts counts = RunBudgetSweep(w, sca);
+  if (::testing::Test::HasFailure()) return;
+  EXPECT_EQ(counts.runs, 4u);  // MakeCrossFlow has one order
+  EXPECT_EQ(counts.spilled_at_4k, 1u)
+      << "the Cross must spill at the 4 KB budget";
+  ExpectMeterDigest(counts, kCrossMeterDigest);
 }
 
 // The optimizer's spill estimate and the engine's measurement must flip

@@ -10,6 +10,7 @@
 #include "dataflow/flow.h"
 #include "record/record.h"
 #include "tac/tac.h"
+#include "workloads/workload.h"
 
 namespace blackbox {
 namespace testing {
@@ -137,6 +138,79 @@ inline dataflow::DataFlow MakeSection422Flow() {
   int red = f.AddReduce("sum_b_per_a", map, {0}, Built(std::move(rb)), h);
 
   f.SetSink("O", red);
+  return f;
+}
+
+/// CoGroup UDF: emits every left-group record with the right-group size
+/// appended — record-preserving on the left input (copy semantics), so a
+/// left-side Map can move past it.
+inline std::shared_ptr<const tac::Function> MakeLeftCountCoGroup(
+    int out_field) {
+  tac::FunctionBuilder b("left_count_cogroup", 2, tac::UdfKind::kKat);
+  tac::Reg nl = b.InputCount(0);
+  tac::Reg nr = b.InputCount(1);
+  tac::Reg i = b.ConstInt(0);
+  tac::Label loop = b.NewLabel();
+  tac::Label done = b.NewLabel();
+  b.Bind(loop);
+  b.BranchIfFalse(b.CmpLt(i, nl), done);
+  tac::Reg r = b.InputAt(0, i);
+  tac::Reg out = b.Copy(r);
+  b.SetField(out, out_field, nr);
+  b.Emit(out);
+  b.AccumAdd(i, b.ConstInt(1));
+  b.Goto(loop);
+  b.Bind(done);
+  b.Return();
+  return Built(std::move(b));
+}
+
+/// Map over R(key, x, z): z := z * 2 (one-to-one, touches only z).
+inline std::shared_ptr<const tac::Function> MakeDoubleZ() {
+  tac::FunctionBuilder b("double_z", 1, tac::UdfKind::kRat);
+  tac::Reg ir = b.InputRecord(0);
+  tac::Reg z = b.GetField(ir, 2);
+  tac::Reg out = b.Copy(ir);
+  b.SetField(out, 2, b.Mul(z, b.ConstInt(2)));
+  b.Emit(out);
+  b.Return();
+  return Built(std::move(b));
+}
+
+/// R(key, x, z) CoGroup S(key, y) on key, counting each R record's partners,
+/// then a Map on R's z: two orders (§4.3.2's tagged-union push-down).
+inline dataflow::DataFlow MakeCoGroupFlow() {
+  dataflow::DataFlow f;
+  int r = f.AddSource("R", 3, 100, 27);  // key, x, z
+  int s = f.AddSource("S", 2, 50, 18);   // key, y
+  dataflow::Hints h;
+  h.distinct_keys = 10;
+  int cg = f.AddCoGroup("count_partners", r, s, {0}, {0},
+                        MakeLeftCountCoGroup(3), h);
+  int map = f.AddMap("double_z", cg, MakeDoubleZ());
+  f.SetSink("O", map);
+  return f;
+}
+
+/// R(x, z) × params(threshold), then a Map keeping x >= threshold (it reads
+/// both sides, so it stays above the Cross).
+inline dataflow::DataFlow MakeCrossFlow(int64_t params_rows) {
+  dataflow::DataFlow f;
+  int r = f.AddSource("R", 2, 200, 18);
+  int p = f.AddSource("params", 1, params_rows, 9, {0});
+  int cross = f.AddCross("combine", r, p,
+                         workloads::MakeConcatJoinUdf("combine"));
+  tac::FunctionBuilder b("filter_by_param", 1, tac::UdfKind::kRat);
+  tac::Reg ir = b.InputRecord(0);
+  tac::Reg x = b.GetField(ir, 0);
+  tac::Reg t = b.GetField(ir, 2);
+  tac::Label skip = b.NewLabel();
+  b.BranchIfFalse(b.CmpGe(x, t), skip);
+  b.Emit(b.Copy(ir));
+  b.Bind(skip);
+  b.Return();
+  int map = f.AddMap("filter_by_param", cross, Built(std::move(b)));
+  f.SetSink("O", map);
   return f;
 }
 
