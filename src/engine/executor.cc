@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <functional>
@@ -36,6 +37,9 @@ namespace {
 /// Partitions is one such buffer per simulated instance — a pipeline
 /// breaker's input or output.
 using Partitions = std::vector<std::unique_ptr<SpillableBuffer>>;
+
+/// A binary operator's two inputs, executed and shipped (ExecInputs).
+using Inputs = std::array<Partitions, 2>;
 
 /// Compacts a wide (global-layout) record onto the sink schema: the sink
 /// stage every plan's root chain ends in.
@@ -117,14 +121,6 @@ void MeterUdf(int op_id, int64_t calls, int64_t rows_out,
   m.cpu_burn_units += rs.cpu_burn_units;
 }
 
-/// A CallInputs of `n` single-record inputs, built once per partition task;
-/// the task reassigns its record pointers before every call.
-CallInputs RecordInputs(size_t n) {
-  CallInputs ci;
-  ci.groups.assign(n, std::vector<const Record*>(1, nullptr));
-  return ci;
-}
-
 /// Per-partition chain executor: the producer (scan, breaker, or a cut
 /// chain's restreamed input) pushes its emitted records here; full batches
 /// are pulled through every stage in one pass and the final stage's output
@@ -166,16 +162,8 @@ class ChainRunner {
     }
   }
 
-  /// Moves a producer's emitted records into the pending buffer, flushing
-  /// through the chain whenever it fills. Clears *emitted.
-  Status Consume(std::vector<Record>* emitted) {
-    for (Record& r : *emitted) {
-      BLACKBOX_RETURN_NOT_OK(Push(std::move(r)));
-    }
-    emitted->clear();
-    return Status::OK();
-  }
-
+  /// Moves one emitted record into the pending buffer, flushing through the
+  /// chain whenever it fills.
   Status Push(Record r) {
     pending_.push_back(std::move(r));
     if (pending_.size() >= capacity_) return Flush();
@@ -351,6 +339,79 @@ class ChainRunner {
   std::unique_ptr<Interpreter> fused_interp_;  // set iff plan_->fused
   Interpreter::ChainState chain_state_;
   bool capacity_adapted_ = false;
+  ExecStats* meters_;
+};
+
+/// One partition task of a UDF operator (Reduce, Match, Cross, CoGroup): the
+/// operator's interpreter and its call workspace, reused across all of the
+/// task's calls, the call inputs, the emit buffer, the chain the emits
+/// stream into, and the task's batch pool (DESIGN.md §2.1). Every UDF call
+/// of these operators goes through Call: it runs the UDF, meters it and
+/// hands the emits to the chain.
+class OpTask {
+ public:
+  OpTask(const dataflow::Operator& op, const FieldTranslation& t,
+         const ChainPlan& chain, size_t capacity, SpillableBuffer* out,
+         const CancelToken* cancel, ExecStats* meters)
+      : op_(op),
+        t_(t),
+        interp_(op.udf.get()),
+        runner_(&chain, capacity, out, meters, cancel),
+        out_(out),
+        meters_(meters) {
+    pair_.groups.assign(2, std::vector<const Record*>(1, nullptr));
+  }
+
+  /// One record-at-a-time call on a pair (Match, Cross).
+  Status CallPair(const Record* left, const Record* right) {
+    pair_.groups[0][0] = left;
+    pair_.groups[1][0] = right;
+    return Call(pair_);
+  }
+
+  /// One key-at-a-time call on one group per input: a Reduce passes one, a
+  /// CoGroup two (empty for an input that lacks the key).
+  Status CallGroups(
+      std::initializer_list<const std::vector<Record>*> groups) {
+    grouped_.groups.resize(groups.size());
+    size_t g = 0;
+    for (const std::vector<Record>* members : groups) {
+      std::vector<const Record*>& in = grouped_.groups[g++];
+      in.clear();
+      for (const Record& r : *members) in.push_back(&r);
+    }
+    return Call(grouped_);
+  }
+
+  /// Drains the chain's pending emits (a no-op when there are none).
+  Status Flush() { return runner_.Flush(); }
+
+  BatchPool* pool() { return &pool_; }
+  ExecStats* meters() { return meters_; }
+  const SpillableBuffer* out() const { return out_; }
+
+ private:
+  Status Call(const CallInputs& inputs) {
+    interp::RunStats rs;
+    BLACKBOX_RETURN_NOT_OK(interp_.Run(inputs, t_, &emitted_, &rs, &state_));
+    MeterUdf(op_.id, 1, static_cast<int64_t>(emitted_.size()), rs, meters_);
+    for (Record& r : emitted_) {
+      BLACKBOX_RETURN_NOT_OK(runner_.Push(std::move(r)));
+    }
+    emitted_.clear();
+    return Status::OK();
+  }
+
+  const dataflow::Operator& op_;
+  const FieldTranslation& t_;  // owned by RunOp, shared by every task
+  Interpreter interp_;
+  Interpreter::CallState state_;
+  CallInputs pair_;     // two single-record inputs, re-pointed per call
+  CallInputs grouped_;  // one group per input, refilled per call
+  std::vector<Record> emitted_;
+  ChainRunner runner_;
+  BatchPool pool_;
+  const SpillableBuffer* out_;
   ExecStats* meters_;
 };
 
@@ -708,20 +769,6 @@ class ExecContext {
     return in;
   }
 
-  /// One UDF call, metered. `state` is the calling task's workspace for
-  /// `interp`, reused across all of that task's calls.
-  static Status CallUdf(int op_id, const Interpreter& interp,
-                        Interpreter::CallState& state,
-                        const CallInputs& inputs, const FieldTranslation& t,
-                        std::vector<Record>* out, ExecStats* meters) {
-    interp::RunStats rs;
-    const size_t before = out->size();
-    BLACKBOX_RETURN_NOT_OK(interp.Run(inputs, t, out, &rs, &state));
-    MeterUdf(op_id, 1, static_cast<int64_t>(out->size() - before), rs,
-             meters);
-    return Status::OK();
-  }
-
   /// The producer of a cut chain (--no-chain): each partition of `child`'s
   /// materialized output streams through the chain's one stage. A stage is
   /// forward-shipped by definition, so no Ship runs in between.
@@ -750,13 +797,65 @@ class ExecContext {
     return out;
   }
 
+  /// Runs a UDF operator as one OpTask per partition (DESIGN.md §2.1):
+  /// builds the operator's translation and output partitions, meters every
+  /// row of `inputs` as a processed record, runs body(task, pi), and flushes
+  /// the chain. A body that must flush while it still holds a sorter or a
+  /// pinned side flushes itself; this flush is then a no-op (DESIGN.md §2.3,
+  /// the flush-order rule).
+  template <typename Body>
+  StatusOr<Partitions> RunOp(const PhysicalNode& node,
+                             const dataflow::Operator& op,
+                             const ChainPlan& chain,
+                             std::initializer_list<const Partitions*> inputs,
+                             Body&& body) {
+    FieldTranslation t = MakeTranslation(node);
+    Partitions out = NewPartitions();
+    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
+      OpTask task(op, t, chain, options_.batch_capacity, out[pi].get(),
+                  options_.cancel, meters);
+      for (const Partitions* in : inputs) {
+        meters->records_processed += static_cast<int64_t>((*in)[pi]->rows());
+      }
+      BLACKBOX_RETURN_NOT_OK(body(task, pi));
+      return task.Flush();
+    });
+    if (!st.ok()) return st;
+    return out;
+  }
+
+  /// Executes both children of a binary operator into `in`, then ships
+  /// both on their keys (none for a Cross).
+  Status ExecInputs(const PhysicalNode& node, Inputs* in) {
+    const OpProperties& p = af_.of(node.op_id);
+    for (size_t i = 0; i < 2; ++i) {
+      StatusOr<Partitions> done = Exec(*node.children[i]);
+      if (!done.ok()) return done.status();
+      (*in)[i] = std::move(done).value();
+    }
+    for (size_t i = 0; i < 2; ++i) {
+      StatusOr<Partitions> shipped =
+          Ship(std::move((*in)[i]), node.ships[i], p.keys[i]);
+      if (!shipped.ok()) return shipped.status();
+      (*in)[i] = std::move(shipped).value();
+    }
+    return Status::OK();
+  }
+
+  /// Whether the plan established input `i` as presorted on its key.
+  static bool Presorted(const PhysicalNode& node, size_t i) {
+    return i < node.input_presorted.size() && node.input_presorted[i];
+  }
+
   /// Builds the key-ordered stream of one partition's input: the external
   /// sorter by default, or the zero-buffering pass-through when the plan
   /// established the input as presorted on the key — the fast path is
   /// decided here, next to the spill machinery, not by the caller.
   StatusOr<std::unique_ptr<KeyedStream>> MakeKeyedStream(
-      size_t pi, SpillableBuffer* in, const std::vector<AttrId>& key,
-      bool presorted, BatchPool* pool, ExecStats* m) {
+      OpTask& task, size_t pi, SpillableBuffer* in,
+      const std::vector<AttrId>& key, bool presorted) {
+    BatchPool* pool = task.pool();
+    ExecStats* m = task.meters();
     if (presorted) {
       return std::unique_ptr<KeyedStream>(
           std::make_unique<PresortedStream>(in, key, pool));
@@ -776,56 +875,108 @@ class ExecContext {
     return std::unique_ptr<KeyedStream>(std::move(sorter));
   }
 
+  /// One key-ordered walk over partition `pi` of both inputs: each side
+  /// becomes a key-ordered stream (the left one fills and finishes first;
+  /// while it grows, the still-undrained right buffer remains an eviction
+  /// candidate, so the instance never holds both sort buffers un-spilled
+  /// over budget), and on_key(left group, right group) runs once per key in
+  /// key order. An inner walk (the sort-merge join) visits the keys both
+  /// sides hold; an outer walk (CoGroup) visits every key of either side,
+  /// passing an empty group for the side that lacks it, and flushes the
+  /// chain before it releases the streams (the flush-order rule).
+  template <typename OnKey>
+  Status ZipGroups(OpTask& task, size_t pi, const Inputs& in,
+                   const OpProperties& p, bool lsorted, bool rsorted,
+                   bool outer, OnKey&& on_key) {
+    StatusOr<std::unique_ptr<KeyedStream>> ls =
+        MakeKeyedStream(task, pi, in[0][pi].get(), p.keys[0], lsorted);
+    if (!ls.ok()) return ls.status();
+    StatusOr<std::unique_ptr<KeyedStream>> rs =
+        MakeKeyedStream(task, pi, in[1][pi].get(), p.keys[1], rsorted);
+    if (!rs.ok()) return rs.status();
+    ExecStats* m = task.meters();
+    GroupReader gl(ls->get());
+    GroupReader gr(rs->get());
+    static const std::vector<Record> kNoGroup;
+    std::vector<Value> lk, rk;
+    std::vector<Record> lmem, rmem;
+    StatusOr<bool> lh = gl.NextGroup(m, &lk, &lmem);
+    if (!lh.ok()) return lh.status();
+    StatusOr<bool> rh = gr.NextGroup(m, &rk, &rmem);
+    if (!rh.ok()) return rh.status();
+    while (outer ? (*lh || *rh) : (*lh && *rh)) {
+      bool take_left = *lh && (!*rh || !KeyLess(rk, lk));
+      bool take_right = *rh && (!*lh || !KeyLess(lk, rk));
+      if (outer || (take_left && take_right)) {
+        BLACKBOX_RETURN_NOT_OK(on_key(take_left ? lmem : kNoGroup,
+                                      take_right ? rmem : kNoGroup));
+      }
+      if (take_left) {
+        lh = gl.NextGroup(m, &lk, &lmem);
+        if (!lh.ok()) return lh.status();
+      }
+      if (take_right) {
+        rh = gr.NextGroup(m, &rk, &rmem);
+        if (!rh.ok()) return rh.status();
+      }
+    }
+    return outer ? task.Flush() : Status::OK();
+  }
+
+  /// Drains `in` into `run`, pinned on `resident`'s ledger: the caller
+  /// references its records, so they must not be evicted mid-probe;
+  /// co-resident buffers are evicted to make room. The in-memory hash join's
+  /// build side and the in-memory Cross's inner side.
+  static Status DrainResident(OpTask& task, SpillableBuffer* in,
+                              PinnedBytes* resident,
+                              std::vector<RecordBatch>* run) {
+    return in->DrainBatches(
+        task.meters(), task.pool(), [&](RecordBatch&& b) -> Status {
+          BLACKBOX_RETURN_NOT_OK(
+              resident->Add(static_cast<int64_t>(b.bytes()), task.meters()));
+          run->push_back(std::move(b));
+          return Status::OK();
+        });
+  }
+
   /// One sort-group pass over `in`, calling the UDF once per key group.
   /// Shared by the plain Reduce, the combiner's pre-aggregation pass, and
-  /// the combiner's post-shuffle pass. Emitted records stream through the
-  /// chain `stages` (empty for the pre-aggregation pass). With `presorted`
-  /// the input streams its groups directly — no sort buffer, no spill, zero
+  /// the combiner's post-shuffle pass. Emitted records stream through
+  /// `chain` (empty for the pre-aggregation pass). With `presorted` the
+  /// input streams its groups directly — no sort buffer, no spill, zero
   /// bytes registered with the ledger (asserted).
-  Status SortGroupPass(Partitions* in, const dataflow::Operator& op,
-                       const std::vector<AttrId>& key,
-                       const FieldTranslation& t, bool presorted,
-                       const ChainPlan& chain, Partitions* out) {
-    return ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
-      Interpreter interp(op.udf.get());
-      Interpreter::CallState state;
-      ChainRunner runner(&chain, options_.batch_capacity, (*out)[pi].get(),
-                         meters, options_.cancel);
-      BatchPool pool;
-      meters->records_processed +=
-          static_cast<int64_t>((*in)[pi]->rows());
+  StatusOr<Partitions> SortGroupPass(const PhysicalNode& node,
+                                     const dataflow::Operator& op,
+                                     const ChainPlan& chain,
+                                     const Partitions& in, bool presorted) {
+    const std::vector<AttrId>& key = af_.of(node.op_id).keys[0];
+    return RunOp(node, op, chain, {&in}, [&](OpTask& task, size_t pi) {
 #ifndef NDEBUG
       // The presorted fast path's contract: the input stream registers zero
       // bytes with the ledger — every byte reserved during this pass must be
       // an output push (checked against the output buffer's growth below).
       const int64_t reserved_before = ledgers_[pi].lifetime_reserved();
       const int64_t out_before =
-          static_cast<int64_t>((*out)[pi]->payload_bytes());
+          static_cast<int64_t>(task.out()->payload_bytes());
 #endif
       StatusOr<std::unique_ptr<KeyedStream>> stream =
-          MakeKeyedStream(pi, (*in)[pi].get(), key, presorted, &pool, meters);
+          MakeKeyedStream(task, pi, in[pi].get(), key, presorted);
       if (!stream.ok()) return stream.status();
       GroupReader groups(stream->get());
       std::vector<Value> gkey;
       std::vector<Record> members;
-      std::vector<Record> emitted;
-      CallInputs ci;
-      ci.groups.resize(1);
       for (;;) {
-        StatusOr<bool> has = groups.NextGroup(meters, &gkey, &members);
+        StatusOr<bool> has = groups.NextGroup(task.meters(), &gkey, &members);
         if (!has.ok()) return has.status();
         if (!*has) break;
-        ci.groups[0].clear();
-        for (const Record& r : members) ci.groups[0].push_back(&r);
-        BLACKBOX_RETURN_NOT_OK(
-            CallUdf(op.id, interp, state, ci, t, &emitted, meters));
-        BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
+        BLACKBOX_RETURN_NOT_OK(task.CallGroups({&members}));
       }
-      BLACKBOX_RETURN_NOT_OK(runner.Flush());
+      // Flushed while the sorter is held (the flush-order rule).
+      BLACKBOX_RETURN_NOT_OK(task.Flush());
 #ifndef NDEBUG
       assert(!presorted ||
              ledgers_[pi].lifetime_reserved() - reserved_before ==
-                 static_cast<int64_t>((*out)[pi]->payload_bytes()) -
+                 static_cast<int64_t>(task.out()->payload_bytes()) -
                      out_before);
 #endif
       return Status::OK();
@@ -836,10 +987,8 @@ class ExecContext {
                                   const dataflow::Operator& op,
                                   const ChainPlan& chain) {
     const OpProperties& p = af_.of(node.op_id);
-    StatusOr<Partitions> in_or = Exec(*node.children[0]);
-    if (!in_or.ok()) return in_or.status();
-    Partitions in = std::move(in_or).value();
-    FieldTranslation t = MakeTranslation(node);
+    StatusOr<Partitions> in = Exec(*node.children[0]);
+    if (!in.ok()) return in.status();
     static const ChainPlan kNoChain;
     if (node.local == LocalStrategy::kPreAggregate) {
       // Combiner: aggregate each producer partition's local groups *before*
@@ -847,25 +996,17 @@ class ExecContext {
       // (combinability guarantees it coincides with the input layout), so
       // the post-shuffle pass below runs the identical UDF unchanged and the
       // shuffle ships at most (distinct keys × dop) records.
-      Partitions combined = NewPartitions();
-      BLACKBOX_RETURN_NOT_OK(SortGroupPass(&in, op, p.keys[0], t,
-                                           /*presorted=*/false, kNoChain,
-                                           &combined));
-      in = std::move(combined);
+      in = SortGroupPass(node, op, kNoChain, *in, /*presorted=*/false);
+      if (!in.ok()) return in.status();
     }
-    StatusOr<Partitions> shipped =
-        Ship(std::move(in), node.ships[0], p.keys[0]);
-    if (!shipped.ok()) return shipped.status();
-    in = std::move(shipped).value();
-    Partitions out = NewPartitions();
+    in = Ship(std::move(in).value(), node.ships[0], p.keys[0]);
+    if (!in.ok()) return in.status();
     // A presorted forward input streams its groups: no sort buffer, no
     // spill — the stream choice (and the zero-buffering assert) live in
     // MakeKeyedStream, next to the spill machinery.
-    bool presorted = node.local != LocalStrategy::kPreAggregate &&
-                     !node.input_presorted.empty() && node.input_presorted[0];
-    BLACKBOX_RETURN_NOT_OK(
-        SortGroupPass(&in, op, p.keys[0], t, presorted, chain, &out));
-    return out;
+    bool presorted =
+        node.local != LocalStrategy::kPreAggregate && Presorted(node, 0);
+    return SortGroupPass(node, op, chain, *in, presorted);
   }
 
   /// Sort-merge equi-join of one partition: both sides as key-ordered
@@ -876,62 +1017,19 @@ class ExecContext {
   /// equal keys, so a downstream operator grouping on this key sees members
   /// in the same relative order a hash join probing a sorted stream would
   /// deliver.
-  Status MergeJoinPartition(size_t pi, SpillableBuffer* left,
-                            SpillableBuffer* right,
-                            const std::vector<AttrId>& lkey,
-                            const std::vector<AttrId>& rkey, bool lsorted,
-                            bool rsorted, int op_id, const Interpreter& interp,
-                            Interpreter::CallState& state,
-                            const FieldTranslation& t, ChainRunner* runner,
-                            ExecStats* meters) {
-    BatchPool pool;
-    meters->records_processed +=
-        static_cast<int64_t>(left->rows() + right->rows());
-    // The left sorter fills and finishes first; while it grows, the
-    // still-undrained right buffer remains an eviction candidate, so the
-    // instance never holds both sides' sort buffers un-spilled over budget.
-    StatusOr<std::unique_ptr<KeyedStream>> ls =
-        MakeKeyedStream(pi, left, lkey, lsorted, &pool, meters);
-    if (!ls.ok()) return ls.status();
-    StatusOr<std::unique_ptr<KeyedStream>> rs =
-        MakeKeyedStream(pi, right, rkey, rsorted, &pool, meters);
-    if (!rs.ok()) return rs.status();
-    GroupReader gl(ls->get());
-    GroupReader gr(rs->get());
-    std::vector<Value> lk, rk;
-    std::vector<Record> lmem, rmem;
-    std::vector<Record> emitted;
-    CallInputs ci = RecordInputs(2);
-    StatusOr<bool> lh = gl.NextGroup(meters, &lk, &lmem);
-    if (!lh.ok()) return lh.status();
-    StatusOr<bool> rh = gr.NextGroup(meters, &rk, &rmem);
-    if (!rh.ok()) return rh.status();
-    while (*lh && *rh) {
-      if (KeyLess(lk, rk)) {
-        lh = gl.NextGroup(meters, &lk, &lmem);
-        if (!lh.ok()) return lh.status();
-        continue;
-      }
-      if (KeyLess(rk, lk)) {
-        rh = gr.NextGroup(meters, &rk, &rmem);
-        if (!rh.ok()) return rh.status();
-        continue;
-      }
-      for (const Record& a : lmem) {
-        for (const Record& b : rmem) {
-          ci.groups[0][0] = &a;
-          ci.groups[1][0] = &b;
-          BLACKBOX_RETURN_NOT_OK(
-              CallUdf(op_id, interp, state, ci, t, &emitted, meters));
-          BLACKBOX_RETURN_NOT_OK(runner->Consume(&emitted));
-        }
-      }
-      lh = gl.NextGroup(meters, &lk, &lmem);
-      if (!lh.ok()) return lh.status();
-      rh = gr.NextGroup(meters, &rk, &rmem);
-      if (!rh.ok()) return rh.status();
-    }
-    return Status::OK();
+  Status MergeJoin(OpTask& task, size_t pi, const Inputs& in,
+                   const OpProperties& p, bool lsorted, bool rsorted) {
+    return ZipGroups(
+        task, pi, in, p, lsorted, rsorted, /*outer=*/false,
+        [&](const std::vector<Record>& lmem,
+            const std::vector<Record>& rmem) -> Status {
+          for (const Record& a : lmem) {
+            for (const Record& b : rmem) {
+              BLACKBOX_RETURN_NOT_OK(task.CallPair(&a, &b));
+            }
+          }
+          return Status::OK();
+        });
   }
 
   /// Budget-respecting hash join of one partition that preserves the exact
@@ -946,22 +1044,13 @@ class ExecContext {
   /// copies that cannot be evicted mid-probe, so they must count against the
   /// instance like the resident build side of the in-memory path
   /// (DESIGN.md §2.3).
-  Status BlockHashJoinPartition(size_t pi, SpillableBuffer* build,
-                                SpillableBuffer* probe,
-                                const std::vector<AttrId>& build_key,
-                                const std::vector<AttrId>& probe_key,
-                                bool build_left, int op_id,
-                                const Interpreter& interp,
-                                Interpreter::CallState& state,
-                                const FieldTranslation& t, ChainRunner* runner,
-                                ExecStats* meters) {
-    BatchPool pool;
-    meters->records_processed +=
-        static_cast<int64_t>(build->rows() + probe->rows());
-    std::vector<Record> emitted;
-    CallInputs ci = RecordInputs(2);
+  Status BlockHashJoin(OpTask& task, size_t pi, SpillableBuffer* build,
+                       SpillableBuffer* probe,
+                       const std::vector<AttrId>& build_key,
+                       const std::vector<AttrId>& probe_key, bool build_left) {
+    ExecStats* meters = task.meters();
     return probe->DrainBatches(
-        meters, &pool, [&](RecordBatch&& pb) -> Status {
+        meters, task.pool(), [&](RecordBatch&& pb) -> Status {
           std::vector<std::vector<Record>> matches(pb.size());
           // Run skipping (DESIGN.md §2.5): a build run (or in-memory batch)
           // whose key-column ranges cannot intersect this probe batch's
@@ -993,7 +1082,7 @@ class ExecContext {
           }
           PinnedBytes resident(&ledgers_[pi]);
           Status st = build->ForEachBatch(
-              meters, &pool,
+              meters, task.pool(),
               [&](const RecordBatch& bb) -> Status {
                 // Entry j is bb.record(j): the table is filled in order.
                 JoinTable table(build_key, bb.size());
@@ -1013,15 +1102,13 @@ class ExecContext {
               skip);
           BLACKBOX_RETURN_NOT_OK(st);
           for (size_t i = 0; i < pb.size(); ++i) {
+            const Record* r = &pb.record(i);
             for (const Record& b : matches[i]) {
-              ci.groups[0][0] = build_left ? &b : &pb.record(i);
-              ci.groups[1][0] = build_left ? &pb.record(i) : &b;
-              BLACKBOX_RETURN_NOT_OK(
-                  CallUdf(op_id, interp, state, ci, t, &emitted, meters));
-              BLACKBOX_RETURN_NOT_OK(runner->Consume(&emitted));
+              BLACKBOX_RETURN_NOT_OK(build_left ? task.CallPair(&b, r)
+                                                : task.CallPair(r, &b));
             }
           }
-          pool.Release(std::move(pb));
+          task.pool()->Release(std::move(pb));
           return Status::OK();
         });
   }
@@ -1030,50 +1117,22 @@ class ExecContext {
                                  const dataflow::Operator& op,
                                  const ChainPlan& chain) {
     const OpProperties& p = af_.of(node.op_id);
-    StatusOr<Partitions> l_or = Exec(*node.children[0]);
-    if (!l_or.ok()) return l_or.status();
-    StatusOr<Partitions> r_or = Exec(*node.children[1]);
-    if (!r_or.ok()) return r_or.status();
-    StatusOr<Partitions> ls =
-        Ship(std::move(l_or).value(), node.ships[0], p.keys[0]);
-    if (!ls.ok()) return ls.status();
-    StatusOr<Partitions> rs =
-        Ship(std::move(r_or).value(), node.ships[1], p.keys[1]);
-    if (!rs.ok()) return rs.status();
-    Partitions left = std::move(ls).value();
-    Partitions right = std::move(rs).value();
-    FieldTranslation t = MakeTranslation(node);
+    Inputs in;
+    BLACKBOX_RETURN_NOT_OK(ExecInputs(node, &in));
     if (node.local == LocalStrategy::kSortMergeJoin) {
-      Partitions out = NewPartitions();
-      Status st =
-          ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
-            Interpreter interp(op.udf.get());
-            Interpreter::CallState state;
-            ChainRunner runner(&chain, options_.batch_capacity,
-                               out[pi].get(), meters, options_.cancel);
-            bool lsorted = node.input_presorted.size() >= 2 &&
-                           node.input_presorted[0];
-            bool rsorted = node.input_presorted.size() >= 2 &&
-                           node.input_presorted[1];
-            BLACKBOX_RETURN_NOT_OK(MergeJoinPartition(
-                pi, left[pi].get(), right[pi].get(), p.keys[0], p.keys[1],
-                lsorted, rsorted, op.id, interp, state, t, &runner, meters));
-            return runner.Flush();
-          });
-      if (!st.ok()) return st;
-      return out;
+      return RunOp(node, op, chain, {&in[0], &in[1]},
+                   [&](OpTask& task, size_t pi) {
+                     return MergeJoin(task, pi, in, p, Presorted(node, 0),
+                                      Presorted(node, 1));
+                   });
     }
-    bool build_left = node.local == LocalStrategy::kHashJoinBuildLeft;
-    Partitions out = NewPartitions();
-    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
-      Interpreter interp(op.udf.get());
-      Interpreter::CallState state;
-      ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
-                         meters, options_.cancel);
-      SpillableBuffer* build = (build_left ? left : right)[pi].get();
-      SpillableBuffer* probe = (build_left ? right : left)[pi].get();
-      const std::vector<AttrId>& build_key = build_left ? p.keys[0] : p.keys[1];
-      const std::vector<AttrId>& probe_key = build_left ? p.keys[1] : p.keys[0];
+    const bool build_left = node.local == LocalStrategy::kHashJoinBuildLeft;
+    const std::vector<AttrId>& build_key = p.keys[build_left ? 0 : 1];
+    const std::vector<AttrId>& probe_key = p.keys[build_left ? 1 : 0];
+    return RunOp(node, op, chain, {&in[0], &in[1]},
+                 [&](OpTask& task, size_t pi) -> Status {
+      SpillableBuffer* build = in[build_left ? 0 : 1][pi].get();
+      SpillableBuffer* probe = in[build_left ? 1 : 0][pi].get();
       // The spill manager decides the strategy: a build side that fits the
       // instance budget is pinned in memory and probed in arrival order
       // (the classic path below); a larger one cannot be held as a table at
@@ -1096,228 +1155,112 @@ class ExecContext {
           options_.mem_budget_bytes) {
         if (node.sort_order.empty() &&
             !build->SpilledRunsAreKeyClustered(build_key)) {
-          BLACKBOX_RETURN_NOT_OK(MergeJoinPartition(
-              pi, left[pi].get(), right[pi].get(), p.keys[0], p.keys[1],
-              /*lsorted=*/false, /*rsorted=*/false, op.id, interp, state, t,
-              &runner, meters));
-        } else {
-          BLACKBOX_RETURN_NOT_OK(BlockHashJoinPartition(
-              pi, build, probe, build_key, probe_key, build_left, op.id,
-              interp, state, t, &runner, meters));
+          return MergeJoin(task, pi, in, p, false, false);
         }
-        return runner.Flush();
+        return BlockHashJoin(task, pi, build, probe, build_key, probe_key,
+                             build_left);
       }
-      BatchPool pool;
-      meters->records_processed +=
-          static_cast<int64_t>(build->rows() + probe->rows());
-      // Materialize the build side resident (pinned: the table references
-      // its records, so it must not be evicted mid-probe; co-resident
-      // buffers are evicted to make room — it fits by the check above).
       PinnedBytes resident(&ledgers_[pi]);
       std::vector<RecordBatch> build_run;
-      BLACKBOX_RETURN_NOT_OK(build->DrainBatches(
-          meters, &pool, [&](RecordBatch&& b) -> Status {
-            BLACKBOX_RETURN_NOT_OK(
-                resident.Add(static_cast<int64_t>(b.bytes()), meters));
-            build_run.push_back(std::move(b));
-            return Status::OK();
-          }));
+      BLACKBOX_RETURN_NOT_OK(DrainResident(task, build, &resident, &build_run));
       // Partition-local build table, filled in build arrival order.
       JoinTable table(build_key, BatchesRows(build_run));
-      for (const RecordBatch& b : build_run) {
-        for (size_t i = 0; i < b.size(); ++i) table.Insert(&b.record(i));
+      for (const RecordBatch& rb : build_run) {
+        for (size_t i = 0; i < rb.size(); ++i) table.Insert(&rb.record(i));
       }
-      std::vector<Record> emitted;
-      CallInputs ci = RecordInputs(2);
       BLACKBOX_RETURN_NOT_OK(probe->DrainBatches(
-          meters, &pool, [&](RecordBatch&& pb) -> Status {
+          task.meters(), task.pool(), [&](RecordBatch&& pb) -> Status {
             for (size_t i = 0; i < pb.size(); ++i) {
-              const Record& r = pb.record(i);
-              for (uint32_t e = table.Find(r, probe_key); e != JoinTable::kEnd;
-                   e = table.Next(e)) {
+              const Record* r = &pb.record(i);
+              for (uint32_t e = table.Find(*r, probe_key);
+                   e != JoinTable::kEnd; e = table.Next(e)) {
                 const Record* b = &table.record(e);
-                ci.groups[0][0] = build_left ? b : &r;
-                ci.groups[1][0] = build_left ? &r : b;
-                BLACKBOX_RETURN_NOT_OK(
-                    CallUdf(op.id, interp, state, ci, t, &emitted, meters));
-                BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
+                BLACKBOX_RETURN_NOT_OK(build_left ? task.CallPair(b, r)
+                                                  : task.CallPair(r, b));
               }
             }
-            pool.Release(std::move(pb));
+            task.pool()->Release(std::move(pb));
             return Status::OK();
           }));
-      return runner.Flush();
+      // Flushed while the build side is pinned (the flush-order rule).
+      return task.Flush();
     });
-    if (!st.ok()) return st;
-    return out;
   }
 
   StatusOr<Partitions> ExecCross(const PhysicalNode& node,
                                  const dataflow::Operator& op,
                                  const ChainPlan& chain) {
-    StatusOr<Partitions> l_or = Exec(*node.children[0]);
-    if (!l_or.ok()) return l_or.status();
-    StatusOr<Partitions> r_or = Exec(*node.children[1]);
-    if (!r_or.ok()) return r_or.status();
-    StatusOr<Partitions> ls = Ship(std::move(l_or).value(), node.ships[0], {});
-    if (!ls.ok()) return ls.status();
-    StatusOr<Partitions> rs = Ship(std::move(r_or).value(), node.ships[1], {});
-    if (!rs.ok()) return rs.status();
-    Partitions left = std::move(ls).value();
-    Partitions right = std::move(rs).value();
-    FieldTranslation t = MakeTranslation(node);
-    Partitions out = NewPartitions();
-    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
-      Interpreter interp(op.udf.get());
-      Interpreter::CallState state;
-      ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
-                         meters, options_.cancel);
-      BatchPool pool;
-      SpillableBuffer* lbuf = left[pi].get();
-      SpillableBuffer* rbuf = right[pi].get();
-      meters->records_processed +=
-          static_cast<int64_t>(lbuf->rows() + rbuf->rows());
-      std::vector<Record> emitted;
-      CallInputs ci = RecordInputs(2);
+    Inputs in;
+    BLACKBOX_RETURN_NOT_OK(ExecInputs(node, &in));
+    return RunOp(node, op, chain, {&in[0], &in[1]},
+                 [&](OpTask& task, size_t pi) -> Status {
+      SpillableBuffer* lbuf = in[0][pi].get();
+      SpillableBuffer* rbuf = in[1][pi].get();
       if (static_cast<double>(rbuf->payload_bytes()) <=
           options_.mem_budget_bytes) {
         // Inner side fits: pin it resident and loop exactly like the
         // in-memory engine (left-record-major across the whole right side).
         PinnedBytes resident(&ledgers_[pi]);
         std::vector<RecordBatch> right_run;
-        BLACKBOX_RETURN_NOT_OK(rbuf->DrainBatches(
-            meters, &pool, [&](RecordBatch&& b) -> Status {
-              BLACKBOX_RETURN_NOT_OK(
-                  resident.Add(static_cast<int64_t>(b.bytes()), meters));
-              right_run.push_back(std::move(b));
-              return Status::OK();
-            }));
-        BLACKBOX_RETURN_NOT_OK(lbuf->DrainBatches(
-            meters, &pool, [&](RecordBatch&& lb) -> Status {
+        BLACKBOX_RETURN_NOT_OK(
+            DrainResident(task, rbuf, &resident, &right_run));
+        return lbuf->DrainBatches(
+            task.meters(), task.pool(), [&](RecordBatch&& lb) -> Status {
               for (size_t i = 0; i < lb.size(); ++i) {
                 for (const RecordBatch& rb : right_run) {
                   for (size_t j = 0; j < rb.size(); ++j) {
-                    ci.groups[0][0] = &lb.record(i);
-                    ci.groups[1][0] = &rb.record(j);
                     BLACKBOX_RETURN_NOT_OK(
-                        CallUdf(op.id, interp, state, ci, t, &emitted, meters));
-                    BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
+                        task.CallPair(&lb.record(i), &rb.record(j)));
                   }
                 }
               }
-              pool.Release(std::move(lb));
+              task.pool()->Release(std::move(lb));
               return Status::OK();
-            }));
-      } else {
-        // Block nested loop: the right side stays partially on disk and is
-        // re-scanned once per LEFT BATCH (each re-read metered). Pairs come
-        // out block-major — a permutation of the in-memory order, covered by
-        // the sorted-sink differential contract (the planner tracks no
-        // output order through a Cross, so no presorted claim can break).
-        BLACKBOX_RETURN_NOT_OK(lbuf->DrainBatches(
-            meters, &pool, [&](RecordBatch&& lb) -> Status {
-              Status st2 = rbuf->ForEachBatch(
-                  meters, &pool, [&](const RecordBatch& rb) -> Status {
-                    for (size_t i = 0; i < lb.size(); ++i) {
-                      for (size_t j = 0; j < rb.size(); ++j) {
-                        ci.groups[0][0] = &lb.record(i);
-                        ci.groups[1][0] = &rb.record(j);
-                        BLACKBOX_RETURN_NOT_OK(CallUdf(op.id, interp, state,
-                                                       ci, t, &emitted,
-                                                       meters));
-                        BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
-                      }
-                    }
-                    return Status::OK();
-                  });
-              BLACKBOX_RETURN_NOT_OK(st2);
-              pool.Release(std::move(lb));
-              return Status::OK();
-            }));
+            });
       }
-      return runner.Flush();
+      // Block nested loop: the right side stays partially on disk and is
+      // re-scanned once per LEFT BATCH (each re-read metered). Pairs come
+      // out block-major — a permutation of the in-memory order, covered by
+      // the sorted-sink differential contract (the planner tracks no
+      // output order through a Cross, so no presorted claim can break).
+      return lbuf->DrainBatches(
+          task.meters(), task.pool(), [&](RecordBatch&& lb) -> Status {
+            BLACKBOX_RETURN_NOT_OK(rbuf->ForEachBatch(
+                task.meters(), task.pool(),
+                [&](const RecordBatch& rb) -> Status {
+                  for (size_t i = 0; i < lb.size(); ++i) {
+                    for (size_t j = 0; j < rb.size(); ++j) {
+                      BLACKBOX_RETURN_NOT_OK(
+                          task.CallPair(&lb.record(i), &rb.record(j)));
+                    }
+                  }
+                  return Status::OK();
+                }));
+            task.pool()->Release(std::move(lb));
+            return Status::OK();
+          });
     });
-    if (!st.ok()) return st;
-    return out;
   }
 
   StatusOr<Partitions> ExecCoGroup(const PhysicalNode& node,
                                    const dataflow::Operator& op,
                                    const ChainPlan& chain) {
     const OpProperties& p = af_.of(node.op_id);
-    StatusOr<Partitions> l_or = Exec(*node.children[0]);
-    if (!l_or.ok()) return l_or.status();
-    StatusOr<Partitions> r_or = Exec(*node.children[1]);
-    if (!r_or.ok()) return r_or.status();
-    StatusOr<Partitions> ls =
-        Ship(std::move(l_or).value(), node.ships[0], p.keys[0]);
-    if (!ls.ok()) return ls.status();
-    StatusOr<Partitions> rs =
-        Ship(std::move(r_or).value(), node.ships[1], p.keys[1]);
-    if (!rs.ok()) return rs.status();
-    Partitions left = std::move(ls).value();
-    Partitions right = std::move(rs).value();
-    FieldTranslation t = MakeTranslation(node);
-    Partitions out = NewPartitions();
-    Status st = ForEachPartition([&](size_t pi, ExecStats* meters) -> Status {
-      Interpreter interp(op.udf.get());
-      Interpreter::CallState state;
-      ChainRunner runner(&chain, options_.batch_capacity, out[pi].get(),
-                         meters, options_.cancel);
-      BatchPool pool;
-      meters->records_processed += static_cast<int64_t>(
-          left[pi]->rows() + right[pi]->rows());
-      // Per-side key-ordered streams (a presorted side streams its groups
-      // for free and never spills); the union of keys is walked in key
-      // order, exactly the old sorted-map iteration.
-      bool lsorted =
-          node.input_presorted.size() >= 2 && node.input_presorted[0];
-      bool rsorted =
-          node.input_presorted.size() >= 2 && node.input_presorted[1];
-      StatusOr<std::unique_ptr<KeyedStream>> lstream = MakeKeyedStream(
-          pi, left[pi].get(), p.keys[0], lsorted, &pool, meters);
-      if (!lstream.ok()) return lstream.status();
-      StatusOr<std::unique_ptr<KeyedStream>> rstream = MakeKeyedStream(
-          pi, right[pi].get(), p.keys[1], rsorted, &pool, meters);
-      if (!rstream.ok()) return rstream.status();
-      GroupReader gl(lstream->get());
-      GroupReader gr(rstream->get());
-      std::vector<Value> lk, rk;
-      std::vector<Record> lmem, rmem;
-      std::vector<Record> emitted;
-      CallInputs ci;
-      ci.groups.resize(2);
-      StatusOr<bool> lh = gl.NextGroup(meters, &lk, &lmem);
-      if (!lh.ok()) return lh.status();
-      StatusOr<bool> rh = gr.NextGroup(meters, &rk, &rmem);
-      if (!rh.ok()) return rh.status();
-      while (*lh || *rh) {
-        bool take_left = *lh && (!*rh || !KeyLess(rk, lk));
-        bool take_right = *rh && (!*lh || !KeyLess(lk, rk));
-        ci.groups[0].clear();
-        ci.groups[1].clear();
-        if (take_left) {
-          for (const Record& r : lmem) ci.groups[0].push_back(&r);
-        }
-        if (take_right) {
-          for (const Record& r : rmem) ci.groups[1].push_back(&r);
-        }
-        BLACKBOX_RETURN_NOT_OK(
-            CallUdf(op.id, interp, state, ci, t, &emitted, meters));
-        BLACKBOX_RETURN_NOT_OK(runner.Consume(&emitted));
-        if (take_left) {
-          lh = gl.NextGroup(meters, &lk, &lmem);
-          if (!lh.ok()) return lh.status();
-        }
-        if (take_right) {
-          rh = gr.NextGroup(meters, &rk, &rmem);
-          if (!rh.ok()) return rh.status();
-        }
-      }
-      return runner.Flush();
-    });
-    if (!st.ok()) return st;
-    return out;
+    Inputs in;
+    BLACKBOX_RETURN_NOT_OK(ExecInputs(node, &in));
+    // Per-side key-ordered streams (a presorted side streams its groups
+    // for free and never spills); the union of keys is walked in key
+    // order, exactly the old sorted-map iteration.
+    return RunOp(node, op, chain, {&in[0], &in[1]},
+                 [&](OpTask& task, size_t pi) {
+                   return ZipGroups(
+                       task, pi, in, p, Presorted(node, 0), Presorted(node, 1),
+                       /*outer=*/true,
+                       [&](const std::vector<Record>& lmem,
+                           const std::vector<Record>& rmem) {
+                         return task.CallGroups({&lmem, &rmem});
+                       });
+                 });
   }
 
   const dataflow::AnnotatedFlow& af_;
