@@ -1,6 +1,7 @@
 #include "api/profiler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +22,10 @@ StatusOr<FlowProfile> ProfileFlow(
   const size_t num_ops = static_cast<size_t>(flow.num_ops());
   std::vector<double> fraction(num_ops, 1.0);  // sample rows / true rows
   std::vector<int64_t> rows(num_ops, 0);       // sampled output rows
+  // Whether an operator's output is a uniform row sample of its full-data
+  // output: true for a source and for a Map over one, false below anything
+  // that groups or pairs records.
+  std::vector<bool> row_sample(num_ops, false);
 
   // A uniform sample of every source, drawn in op-id order with one draw
   // per row and kept in source layout: the engine's scan widens it.
@@ -44,6 +49,7 @@ StatusOr<FlowProfile> ProfileFlow(
     }
     fraction[id] = keep;
     rows[id] = static_cast<int64_t>(sample.size());
+    row_sample[id] = true;
   }
 
   // The authored plan, at dop 1 with the combiner, chain specialization and
@@ -81,16 +87,25 @@ StatusOr<FlowProfile> ProfileFlow(
             eo.interp_instructions_per_s +
         static_cast<double>(m.cpu_burn_units) / eo.cpu_burn_units_per_s;
     rows[id] = m.rows_out;
+    bool inputs_row_sampled = true;
     for (int in : op.inputs) {
       fraction[id] = std::min(fraction[id], fraction[in]);
+      inputs_row_sampled = inputs_row_sampled && row_sample[in];
     }
+    row_sample[id] = op.kind == OpKind::kMap && inputs_row_sampled;
+    const double q = fraction[id];
     if (op.kind == OpKind::kReduce || op.kind == OpKind::kCoGroup) {
-      // One call per key: scale the sample's key count to the full data.
+      // One call per key seen in the sample. Over a uniform row sample,
+      // GEE (Charikar et al., PODS 2000) scales only the keys seen once:
+      // sqrt(1/q)·f1 + (calls − f1). Below a Reduce the input is no row
+      // sample, so the sample's key count is scaled by 1/q as a whole.
+      const double calls = static_cast<double>(prof.calls);
+      const double f1 = static_cast<double>(m.singleton_groups);
       prof.distinct_keys_scaled =
-          fraction[id] > 0 && fraction[id] < 1.0
-              ? static_cast<int64_t>(static_cast<double>(prof.calls) /
-                                     fraction[id])
-              : prof.calls;
+          q <= 0 || q >= 1.0 ? prof.calls
+          : inputs_row_sampled
+              ? static_cast<int64_t>(std::sqrt(1.0 / q) * f1 + (calls - f1))
+              : static_cast<int64_t>(calls / q);
     } else if (op.kind == OpKind::kMatch && prof.calls > 0) {
       prof.distinct_keys_scaled =
           rows[op.inputs[0]] * rows[op.inputs[1]] / prof.calls;

@@ -12,10 +12,17 @@
 //                          (interpreter instructions and burn units over
 //                          the ExecOptions throughputs), normalized so the
 //                          cheapest operator costs 1
-//   * distinct_keys      — Reduce / CoGroup: calls (one per key) over the
-//                          sample fraction; Match: l_rows × r_rows / calls,
-//                          the key domain that inverts the cost model's row
-//                          estimate, in which the sample fractions cancel
+//   * distinct_keys      — Reduce / CoGroup: calls (one per key) scaled to
+//                          the full data. When every input descends from
+//                          sources through Maps only, the input is a uniform
+//                          row sample, and GEE (Charikar et al., PODS 2000)
+//                          scales only the keys seen once:
+//                          sqrt(1/q)·f1 + (calls − f1), f1 =
+//                          ExecStats::OpMeters::singleton_groups, q the
+//                          sample fraction. Elsewhere, calls / q. Match:
+//                          l_rows × r_rows / calls, the key domain that
+//                          inverts the cost model's row estimate, in which
+//                          the sample fractions cancel
 //
 // No hint reads a clock, so a profile is a pure function of the flow, the
 // bound data and the options.

@@ -375,11 +375,14 @@ class OpTask {
       std::initializer_list<const std::vector<Record>*> groups) {
     grouped_.groups.resize(groups.size());
     size_t g = 0;
+    size_t records = 0;
     for (const std::vector<Record>* members : groups) {
       std::vector<const Record*>& in = grouped_.groups[g++];
       in.clear();
       for (const Record& r : *members) in.push_back(&r);
+      records += members->size();
     }
+    if (records == 1) ++meters_->per_op[op_.id].singleton_groups;
     return Call(grouped_);
   }
 
@@ -1295,6 +1298,7 @@ void ExecStats::AddCounters(const ExecStats& other) {
     m.rows_out += other.per_op[i].rows_out;
     m.interp_instructions += other.per_op[i].interp_instructions;
     m.cpu_burn_units += other.per_op[i].cpu_burn_units;
+    m.singleton_groups += other.per_op[i].singleton_groups;
   }
 }
 

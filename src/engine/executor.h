@@ -240,6 +240,10 @@ struct ExecStats {
     int64_t rows_out = 0;  // records the operator's UDF calls emitted
     int64_t interp_instructions = 0;
     int64_t cpu_burn_units = 0;
+    /// Key-at-a-time calls (Reduce, CoGroup) whose groups held exactly one
+    /// record between them: the keys seen once, which the profiler's
+    /// distinct-key estimate scales (api/profiler.h).
+    int64_t singleton_groups = 0;
   };
 
   /// The UDF meters per operator, indexed by op id, bumped at the same

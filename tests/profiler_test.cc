@@ -54,12 +54,30 @@ TEST(Profiler, ScalesDistinctKeysToFullDataSize) {
   ASSERT_TRUE(profile.ok());
 
   // The Reduce keys on l_suppkey with 100 distinct suppliers. Every supplier
-  // appears in a 4000-record sample with near-certainty, so the *sample*
-  // distinct count is ~100; the upscaling (division by the sample fraction)
-  // over-estimates bounded by 1/frac.
+  // appears in a 4000-record sample with near-certainty, and nearly every one
+  // more than once, so GEE scales almost nothing: ~100. Dividing the sample's
+  // key count by the sample fraction would read ~1,000.
   const OperatorProfile& gamma = profile->per_op.at(4);
-  EXPECT_GE(gamma.distinct_keys_scaled, 100);
-  EXPECT_LE(gamma.distinct_keys_scaled, 1000);
+  EXPECT_GE(gamma.distinct_keys_scaled, 90);
+  EXPECT_LE(gamma.distinct_keys_scaled, 140);
+}
+
+TEST(Profiler, ScalesSingletonKeysOfARowSample) {
+  workloads::ClickstreamScale scale;
+  scale.sessions = 20000;
+  scale.users = 2000;
+  workloads::Workload w = workloads::MakeClickstream(scale);
+
+  StatusOr<FlowProfile> profile = ProfileFlow(w.flow, SourcePtrs(w));
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+
+  // filter_buy_sessions groups the clicks by session: 20,000 keys, most of
+  // them seen once in a 2,000-click sample. GEE scales those by
+  // sqrt(1/q); dividing the whole key count by q read 189,683.
+  ASSERT_EQ(w.flow.op(3).name, "filter_buy_sessions");
+  const OperatorProfile& sessions = profile->per_op.at(3);
+  EXPECT_GE(sessions.distinct_keys_scaled, 15000);
+  EXPECT_LE(sessions.distinct_keys_scaled, 25000);
 }
 
 TEST(Profiler, KeyJoinDomainIsTheKeyCount) {
