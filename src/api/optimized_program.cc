@@ -155,30 +155,25 @@ StatusOr<OptimizedProgram> OptimizeFlow(const dataflow::DataFlow& flow,
   copts.enum_options = options.enum_options;
   copts.top_k = options.top_k;
   copts.cost_epsilon = options.cost_epsilon;
-  if (options.cost_model_follows_exec) {
-    // Estimates and measured runs must describe the same simulated cluster.
-    // A caller-supplied cost-model cluster that contradicts the exec cluster
-    // is a configuration bug — surface it instead of silently overwriting.
-    // (Best-effort: the shared default doubles as the "untouched" sentinel,
-    // so explicitly setting a weight to its default value is indistinguishable
-    // from leaving it alone; cost for a deliberately different cluster by
-    // clearing cost_model_follows_exec instead.)
-    if (options.weights.dop != kDefaultDop &&
-        options.weights.dop != options.exec.dop) {
-      return Status::InvalidArgument(
-          "cost_model_follows_exec is set but weights.dop (" +
-          std::to_string(options.weights.dop) + ") contradicts exec.dop (" +
-          std::to_string(options.exec.dop) + ")");
-    }
-    if (options.weights.mem_budget_bytes != kDefaultMemBudgetBytes &&
-        options.weights.mem_budget_bytes != options.exec.mem_budget_bytes) {
-      return Status::InvalidArgument(
-          "cost_model_follows_exec is set but weights.mem_budget_bytes "
-          "contradicts exec.mem_budget_bytes");
-    }
-    copts.weights.dop = options.exec.dop;
-    copts.weights.mem_budget_bytes = options.exec.mem_budget_bytes;
+  // Estimates and measured runs must describe the same simulated cluster,
+  // so the cost model always prices the exec cluster. A caller-supplied
+  // cost-model cluster that contradicts it is a configuration bug — surface
+  // it instead of silently overwriting. (Best-effort: the shared default
+  // doubles as the "untouched" sentinel, so explicitly setting a weight to
+  // its default value is indistinguishable from leaving it alone.)
+  if (options.weights.dop != kDefaultDop &&
+      options.weights.dop != options.exec.dop) {
+    return Status::InvalidArgument(
+        "weights.dop (" + std::to_string(options.weights.dop) +
+        ") contradicts exec.dop (" + std::to_string(options.exec.dop) + ")");
   }
+  if (options.weights.mem_budget_bytes != kDefaultMemBudgetBytes &&
+      options.weights.mem_budget_bytes != options.exec.mem_budget_bytes) {
+    return Status::InvalidArgument(
+        "weights.mem_budget_bytes contradicts exec.mem_budget_bytes");
+  }
+  copts.weights.dop = options.exec.dop;
+  copts.weights.mem_budget_bytes = options.exec.mem_budget_bytes;
 
   // Plan-cache lookup BEFORE annotation: a hit skips UDF analysis too. The
   // key is built from the resolved weights and search knobs, so any change

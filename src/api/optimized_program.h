@@ -50,11 +50,6 @@ struct OptimizeOptions {
   /// providers whose annotations depend on bound data (the profiler).
   /// Disable for benchmarks that measure optimization itself.
   bool use_plan_cache = true;
-
-  /// Copy exec.dop / exec.mem_budget_bytes into the cost weights. Disable to
-  /// cost for a different cluster than the one Run() simulates. When set,
-  /// OptimizeFlow() rejects caller-supplied weights that contradict exec.
-  bool cost_model_follows_exec = true;
 };
 
 /// An optimized, runnable program: the annotated flow plus all ranked

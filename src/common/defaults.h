@@ -2,8 +2,8 @@
 // (engine::ExecOptions) and the cost model (optimizer::CostWeights) must
 // describe the same machine by default — estimates and measured runs diverge
 // silently otherwise (they once defaulted to dop 8 vs dop 32). Single source
-// of truth lives here; OptimizeFlow() asserts the two agree whenever
-// cost_model_follows_exec is set.
+// of truth lives here; OptimizeFlow() copies the exec cluster into the cost
+// weights and rejects weights that contradict it.
 
 #ifndef BLACKBOX_COMMON_DEFAULTS_H_
 #define BLACKBOX_COMMON_DEFAULTS_H_

@@ -91,7 +91,7 @@ class PlanCache {
 
 /// Deterministic cache key for optimizing `flow` under the given provider
 /// and knobs. `weights` must be the RESOLVED weights the optimizer will
-/// actually run with (after any cost_model_follows_exec adjustment).
+/// actually run with (with the exec cluster's dop and memory budget).
 /// `top_k` and `cost_epsilon` describe the plan search.
 std::string PlanCacheKey(const dataflow::DataFlow& flow,
                          const std::string& provider_name,

@@ -57,13 +57,12 @@ QueryServer::~QueryServer() {
 }
 
 double QueryServer::EffectiveBudgetBytes(const QueryRequest& request,
-                                         const ServeOptions& options) {
+                                         const ServeOptions& /*options*/) {
   double budget = request.exec.mem_budget_bytes;
-  if (options.carve_from_estimate && request.program != nullptr) {
+  if (request.program != nullptr) {
     double est = request.program->EstimatedPeakBytes(request.plan_index,
                                                      request.exec.dop);
-    budget = std::min(budget,
-                      std::max(est, options.min_estimated_budget_bytes));
+    budget = std::min(budget, std::max(est, kMinEstimatedBudgetBytes));
   }
   return budget;
 }

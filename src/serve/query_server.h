@@ -51,6 +51,11 @@
 namespace blackbox {
 namespace serve {
 
+/// Floor for a query's estimate-sized per-instance budget
+/// (QueryServer::EffectiveBudgetBytes): a plan with no (or tiny) pipeline
+/// breakers still needs working room for batches.
+inline constexpr double kMinEstimatedBudgetBytes = 4096;
+
 struct ServeOptions {
   /// Max queries executing at once; further admissions wait in the queue.
   int max_inflight = 4;
@@ -68,19 +73,6 @@ struct ServeOptions {
   /// §2.3). Must be at least that overshoot for the no-violation invariant
   /// to hold by construction.
   double per_instance_slack_bytes = 16.0 * 1024;
-
-  /// Size each query's carve from the optimizer's estimated peak
-  /// (OptimizedProgram::EstimatedPeakBytes) instead of the caller's
-  /// worst-case mem_budget_bytes, whenever the estimate is smaller. The
-  /// per-instance ledger budget shrinks with the carve, so the no-violation
-  /// invariant holds unchanged — an under-estimate only costs extra
-  /// spilling, never extra memory, and outputs stay byte-identical. Lets
-  /// many conservatively-budgeted queries pack into one global budget.
-  bool carve_from_estimate = true;
-
-  /// Floor for the estimate-derived per-instance budget: a plan with no
-  /// (or tiny) pipeline breakers still needs working room for batches.
-  double min_estimated_budget_bytes = 4096;
 
   /// Worker threads in the shared pool; <= 0 picks hardware concurrency.
   int num_threads = 0;
@@ -196,17 +188,20 @@ class QueryServer {
 
   /// The bytes Submit would carve from the global pool for this request —
   /// the worst-case aggregate memory its dop ledgers can reach. Exposed so
-  /// harnesses can size global budgets deliberately. With
-  /// carve_from_estimate set this consults the program's
-  /// EstimatedPeakBytes, so the result can be smaller than
+  /// harnesses can size global budgets deliberately. It consults the
+  /// program's EstimatedPeakBytes, so the result can be smaller than
   /// dop × (mem_budget_bytes + slack).
   static double CarveBytes(const QueryRequest& request,
                            const ServeOptions& options);
 
   /// The per-instance memory budget Submit would actually run this request
   /// with: the requested exec.mem_budget_bytes, shrunk to the optimizer's
-  /// estimated peak (floored at min_estimated_budget_bytes) when
-  /// carve_from_estimate is set. CarveBytes is dop × (this + slack).
+  /// estimated peak (OptimizedProgram::EstimatedPeakBytes), floored at
+  /// kMinEstimatedBudgetBytes. The ledger budget shrinks with the carve, so
+  /// the no-violation invariant holds unchanged — an under-estimate only
+  /// costs extra spilling, never extra memory, and outputs stay
+  /// byte-identical — and many conservatively budgeted queries pack into
+  /// one global budget. CarveBytes is dop × (this + slack).
   static double EffectiveBudgetBytes(const QueryRequest& request,
                                      const ServeOptions& options);
 

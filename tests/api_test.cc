@@ -59,8 +59,9 @@ void ExpectRoundTrip(const dataflow::DataFlow& pipeline_flow,
         core::BlackBoxOptimizer(copts).Optimize(legacy_flow);
     ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
+    // exec and weights share their defaults, so the api costs the same
+    // cluster as the core optimizer.
     api::OptimizeOptions aopts;
-    aopts.cost_model_follows_exec = false;  // cost with the core defaults
     StatusOr<api::OptimizedProgram> program =
         mode == dataflow::AnnotationMode::kSca
             ? api::OptimizeFlow(pipeline_flow, api::ScaProvider(), aopts)
@@ -471,8 +472,9 @@ TEST(Optimize, PrunedPlanSpaceIsAnErrorNotACrash) {
 }
 
 TEST(Optimize, ContradictoryCostModelClusterIsRejected) {
-  // cost_model_follows_exec would silently overwrite a deliberately
-  // different weights.dop; that contradiction must surface as an error.
+  // The cost model always prices the exec cluster, which would silently
+  // overwrite a deliberately different weights.dop; that contradiction must
+  // surface as an error.
   Pipeline p;
   Stream src = p.Source("I", 2, {.rows = 10});
   src.Map("m", testing::MakeAbsUdf()).Sink("O");

@@ -486,17 +486,6 @@ TEST(QueryServerTest, RejectsMalformedAndOversizedRequests) {
   EXPECT_EQ(server.Submit(std::move(oversized)).status().code(),
             Status::Code::kOutOfRange);
 
-  // With estimate-sizing disabled, a huge per-instance budget alone is
-  // enough to overflow the pool — the pre-estimate admission behavior.
-  serve::ServeOptions worst_case = options;
-  worst_case.carve_from_estimate = false;
-  serve::QueryServer worst_case_server(worst_case);
-  serve::QueryRequest big_budget;
-  big_budget.program = &*program;
-  big_budget.exec = SmallExec(worst_case.global_budget_bytes);
-  EXPECT_EQ(worst_case_server.Submit(std::move(big_budget)).status().code(),
-            Status::Code::kOutOfRange);
-
   EXPECT_EQ(server.metrics().Snapshot().rejected, 4);
 }
 
