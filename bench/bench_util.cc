@@ -1,7 +1,6 @@
 #include "bench/bench_util.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 namespace blackbox {
@@ -114,7 +113,7 @@ void PrintFigure(const std::string& title, const FigureResult& result) {
       mix.best_uses_sort_merge ? "yes" : "no",
       mix.best_uses_combiner ? "yes" : "no");
   std::printf("  %-6s %-15s %-18s %-11s %-9s %-9s %-10s %-9s %-10s\n", "rank",
-              "norm.cost.est", "norm.exec.runtime", "runtime[s]", "cpu[s]",
+              "norm.cost.est", "norm.exec.runtime", "runtime[s]", "wall[s]",
               "net[MB]", "disk[MB]", "peak[MB]", "udf calls");
   for (const RankedRun& r : result.runs) {
     std::printf(
@@ -134,61 +133,8 @@ int ImplementedRank(const api::OptimizedProgram& program) {
   return idx < 0 ? -1 : program.ranked()[idx].rank;
 }
 
-namespace {
-
-StatusOr<ThreadScalingPoint> MeasurePoint(const workloads::Workload& w,
-                                          const BenchConfig& config,
-                                          int threads) {
-  api::ScaProvider sca;
-  const api::AnnotationProvider& provider =
-      config.provider ? *config.provider : sca;
-  api::OptimizeOptions options;
-  options.exec = config.exec;
-  options.exec.num_threads = threads;
-  // Times the figures' full-closure optimize next to the run; a cache hit
-  // would skip the optimize it reports.
-  options.top_k = core::kAllPlans;
-  options.use_plan_cache = false;
-  api::SourceBindings sources;
-  for (const auto& [id, data] : w.source_data) sources[id] = &data;
-
-  ThreadScalingPoint point;
-  point.threads = threads;
-  auto t0 = std::chrono::steady_clock::now();
-  StatusOr<api::OptimizedProgram> program =
-      api::OptimizeFlow(w.flow, provider, options, sources);
-  if (!program.ok()) return program.status();
-  auto t1 = std::chrono::steady_clock::now();
-  StatusOr<DataSet> out = program->RunBest();
-  if (!out.ok()) return out.status();
-  auto t2 = std::chrono::steady_clock::now();
-  point.optimize_seconds = std::chrono::duration<double>(t1 - t0).count();
-  point.run_seconds = std::chrono::duration<double>(t2 - t1).count();
-  return point;
-}
-
-}  // namespace
-
-StatusOr<ThreadScaling> MeasureThreadScaling(const workloads::Workload& w,
-                                             const BenchConfig& config,
-                                             int threads) {
-  ThreadScaling scaling;
-  StatusOr<ThreadScalingPoint> serial = MeasurePoint(w, config, 1);
-  if (!serial.ok()) return serial.status();
-  scaling.serial = *serial;
-  StatusOr<ThreadScalingPoint> parallel = MeasurePoint(w, config, threads);
-  if (!parallel.ok()) return parallel.status();
-  scaling.parallel = *parallel;
-  scaling.speedup = scaling.parallel.total_seconds() > 0
-                        ? scaling.serial.total_seconds() /
-                              scaling.parallel.total_seconds()
-                        : 0;
-  return scaling;
-}
-
 Status WriteFigureJsonWithSweep(const std::string& base_name,
-                                long long mem_budget_flag, FigureResult* fig,
-                                const ThreadScaling* scaling) {
+                                long long mem_budget_flag, FigureResult* fig) {
   StatusOr<std::vector<BudgetSweepPoint>> sweep =
       RunBudgetSweep(fig, DefaultBudgetSweep());
   if (!sweep.ok()) return sweep.status();
@@ -206,7 +152,7 @@ Status WriteFigureJsonWithSweep(const std::string& base_name,
   if (mem_budget_flag > 0) {
     name += "_budget" + std::to_string(mem_budget_flag);
   }
-  return WriteBenchJson(name, *fig, scaling, &*sweep);
+  return WriteBenchJson(name, *fig, &*sweep);
 }
 
 std::vector<double> DefaultBudgetSweep() {
@@ -243,7 +189,6 @@ StatusOr<std::vector<BudgetSweepPoint>> RunBudgetSweep(
 }
 
 Status WriteBenchJson(const std::string& name, const FigureResult& result,
-                      const ThreadScaling* scaling,
                       const std::vector<BudgetSweepPoint>* sweep) {
   std::string path = "BENCH_" + name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -258,10 +203,6 @@ Status WriteBenchJson(const std::string& name, const FigureResult& result,
                result.program.truncated() ? "true" : "false");
   std::fprintf(f, "  \"implemented_rank\": %d,\n",
                ImplementedRank(result.program));
-  std::fprintf(f, "  \"enumeration_seconds\": %.6f,\n",
-               result.program.enumeration_seconds());
-  std::fprintf(f, "  \"costing_seconds\": %.6f,\n",
-               result.program.costing_seconds());
   std::fprintf(f, "  \"output_rows\": %zu,\n", result.output_rows);
   StrategyMix mix = CountStrategyMix(result.program);
   std::fprintf(f, "  \"sort_merge_plans\": %d,\n", mix.sort_merge_plans);
@@ -276,7 +217,7 @@ Status WriteBenchJson(const std::string& name, const FigureResult& result,
     std::fprintf(f,
                  "    {\"rank\": %d, \"estimated_cost\": %.6f, "
                  "\"norm_cost\": %.4f, \"simulated_seconds\": %.6f, "
-                 "\"norm_runtime\": %.4f, \"wall_seconds\": %.6f, "
+                 "\"norm_runtime\": %.4f, "
                  "\"network_bytes\": %lld, \"disk_bytes\": %lld, "
                  "\"peak_bytes\": %lld, \"udf_calls\": %lld, "
                  "\"skipped_batches\": %lld, "
@@ -285,7 +226,7 @@ Status WriteBenchJson(const std::string& name, const FigureResult& result,
                  "\"specialized_instructions_saved\": %lld, "
                  "\"projected_fields_skipped\": %lld}%s\n",
                  r.rank, r.est_cost, r.norm_cost, r.runtime_seconds,
-                 r.norm_runtime, r.stats.wall_seconds,
+                 r.norm_runtime,
                  static_cast<long long>(r.stats.network_bytes),
                  static_cast<long long>(r.stats.disk_bytes),
                  static_cast<long long>(r.stats.peak_bytes),
@@ -297,23 +238,7 @@ Status WriteBenchJson(const std::string& name, const FigureResult& result,
                  static_cast<long long>(r.stats.projected_fields_skipped),
                  i + 1 < result.runs.size() ? "," : "");
   }
-  std::fprintf(f, "  ]%s\n", (scaling || sweep) ? "," : "");
-  if (scaling) {
-    std::fprintf(f, "  \"thread_scaling\": {\n");
-    std::fprintf(f,
-                 "    \"serial\": {\"threads\": 1, \"optimize_seconds\": "
-                 "%.6f, \"run_seconds\": %.6f, \"total_seconds\": %.6f},\n",
-                 scaling->serial.optimize_seconds, scaling->serial.run_seconds,
-                 scaling->serial.total_seconds());
-    std::fprintf(f,
-                 "    \"parallel\": {\"threads\": %d, \"optimize_seconds\": "
-                 "%.6f, \"run_seconds\": %.6f, \"total_seconds\": %.6f},\n",
-                 scaling->parallel.threads, scaling->parallel.optimize_seconds,
-                 scaling->parallel.run_seconds,
-                 scaling->parallel.total_seconds());
-    std::fprintf(f, "    \"speedup\": %.3f\n", scaling->speedup);
-    std::fprintf(f, "  }%s\n", sweep ? "," : "");
-  }
+  std::fprintf(f, "  ]%s\n", sweep ? "," : "");
   if (sweep) {
     // Best plan re-executed under tightening per-instance budgets: disk and
     // peak are measured, deterministic, and pinned by the bench baseline.

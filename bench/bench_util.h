@@ -31,9 +31,8 @@ struct FigureResult {
 };
 
 /// Shared knobs for one figure run. The cost-model parameters (dop, memory
-/// budget) follow the execution options (OptimizeOptions::
-/// cost_model_follows_exec), so estimates and measured runs describe the same
-/// simulated cluster.
+/// budget) follow the execution options (OptimizeFlow copies them), so
+/// estimates and measured runs describe the same simulated cluster.
 struct BenchConfig {
   /// Annotation source; null means static code analysis.
   const api::AnnotationProvider* provider = nullptr;
@@ -72,28 +71,6 @@ void PrintFigure(const std::string& title, const FigureResult& result);
 /// 1-based rank of the originally implemented data flow, -1 if absent.
 int ImplementedRank(const api::OptimizedProgram& program);
 
-/// Real wall time of one end-to-end optimize (annotate + enumerate + cost,
-/// serial) plus one execution of the best-ranked plan at a given thread
-/// count.
-struct ThreadScalingPoint {
-  int threads = 1;
-  double optimize_seconds = 0;
-  double run_seconds = 0;
-  double total_seconds() const { return optimize_seconds + run_seconds; }
-};
-
-/// Serial vs parallel end-to-end wall time for one workload.
-struct ThreadScaling {
-  ThreadScalingPoint serial;    // exec.num_threads = 1
-  ThreadScalingPoint parallel;  // exec.num_threads = threads
-  double speedup = 0;           // serial total / parallel total
-};
-
-/// Measures optimize+run wall time at 1 and `threads` worker threads.
-StatusOr<ThreadScaling> MeasureThreadScaling(const workloads::Workload& w,
-                                             const BenchConfig& config,
-                                             int threads);
-
 /// One point of a memory-budget sweep: the best-ranked plan re-executed
 /// under a different per-instance budget (DESIGN.md §2.3). disk_bytes is
 /// the measured spill traffic, peak_bytes the per-instance high-water mark
@@ -121,12 +98,11 @@ StatusOr<std::vector<BudgetSweepPoint>> RunBudgetSweep(
 std::vector<double> DefaultBudgetSweep();
 
 /// Writes machine-readable results to BENCH_<name>.json in the working
-/// directory (plan counts, estimated vs simulated seconds per picked rank,
-/// disk/peak meters, the memory-budget sweep when `sweep` is non-null, and
-/// — when `scaling` is non-null — real wall time at 1 and N threads).
-/// CI runs this on every push so the perf trajectory is tracked.
+/// directory: plan counts, estimated vs simulated seconds per picked rank,
+/// the byte and call meters, and the memory-budget sweep when `sweep` is
+/// non-null. Every field is deterministic; wall-clock claims come from
+/// perfbench (perfbench/README.md), not from one run here.
 Status WriteBenchJson(const std::string& name, const FigureResult& result,
-                      const ThreadScaling* scaling = nullptr,
                       const std::vector<BudgetSweepPoint>* sweep = nullptr);
 
 /// The figure drivers' shared tail: runs the default budget sweep of the
@@ -134,8 +110,7 @@ Status WriteBenchJson(const std::string& name, const FigureResult& result,
 /// suffix (when `mem_budget_flag` > 0, the driver's --mem-budget value)
 /// keeps CI's spill-smoke JSON next to the default one.
 Status WriteFigureJsonWithSweep(const std::string& base_name,
-                                long long mem_budget_flag, FigureResult* fig,
-                                const ThreadScaling* scaling = nullptr);
+                                long long mem_budget_flag, FigureResult* fig);
 
 }  // namespace bench
 }  // namespace blackbox

@@ -4,9 +4,9 @@
 // estimates tracking runtimes; this harness regenerates the same series on
 // the simulated cluster (absolute counts differ — see EXPERIMENTS.md).
 //
-// Also prints Figure 2 (implemented vs 1st-ranked flow), measures end-to-end
-// optimize+run wall time at 1 and 8 worker threads, and writes the whole
-// series to BENCH_fig5_tpch_q7.json for the CI perf trajectory.
+// Also prints Figure 2 (implemented vs 1st-ranked flow) and writes the whole
+// series to BENCH_fig5_tpch_q7.json for the CI perf trajectory. Wall-clock
+// numbers, at 1 and N threads, come from perfbench (perfbench/README.md).
 //
 // Flags: --smoke         reduced scale + fewer picks (the CI smoke config).
 //        --no-chain      disable fused operator chains (materialize-
@@ -70,24 +70,10 @@ int main(int argc, char** argv) {
           (smoke ? ", smoke scale)" : ")"),
       *fig);
 
-  // End-to-end optimize+run wall time, serial vs 8 worker threads. The
-  // results are identical by the determinism contract; only wall time moves.
-  StatusOr<bench::ThreadScaling> scaling =
-      bench::MeasureThreadScaling(w, config, 8);
-  if (!scaling.ok()) {
-    std::fprintf(stderr, "error: %s\n", scaling.status().ToString().c_str());
-    return 1;
-  }
-  std::printf(
-      "optimize+run wall time: %.3fs at 1 thread, %.3fs at %d threads "
-      "(speedup %.2fx)\n\n",
-      scaling->serial.total_seconds(), scaling->parallel.total_seconds(),
-      scaling->parallel.threads, scaling->speedup);
-
   // Memory-budget sweep of the best plan: measured disk/peak per budget,
   // pinned by tools/bench_baseline.py against silent drift.
-  Status json = bench::WriteFigureJsonWithSweep("fig5_tpch_q7", mem_budget,
-                                                &*fig, &*scaling);
+  Status json =
+      bench::WriteFigureJsonWithSweep("fig5_tpch_q7", mem_budget, &*fig);
   if (!json.ok()) {
     std::fprintf(stderr, "error: %s\n", json.ToString().c_str());
     return 1;
