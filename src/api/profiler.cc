@@ -93,19 +93,22 @@ StatusOr<FlowProfile> ProfileFlow(
       inputs_row_sampled = inputs_row_sampled && row_sample[in];
     }
     row_sample[id] = op.kind == OpKind::kMap && inputs_row_sampled;
-    const double q = fraction[id];
     if (op.kind == OpKind::kReduce || op.kind == OpKind::kCoGroup) {
       // One call per key seen in the sample. Over a uniform row sample,
       // GEE (Charikar et al., PODS 2000) scales only the keys seen once:
       // sqrt(1/q)·f1 + (calls − f1). Below a Reduce the input is no row
       // sample, so the sample's key count is scaled by 1/q as a whole.
+      const double q = fraction[id];
       const double calls = static_cast<double>(prof.calls);
       const double f1 = static_cast<double>(m.singleton_groups);
-      prof.distinct_keys_scaled =
-          q <= 0 || q >= 1.0 ? prof.calls
-          : inputs_row_sampled
-              ? static_cast<int64_t>(std::sqrt(1.0 / q) * f1 + (calls - f1))
-              : static_cast<int64_t>(calls / q);
+      if (q <= 0 || q >= 1.0) {
+        prof.distinct_keys_scaled = prof.calls;
+      } else if (inputs_row_sampled) {
+        prof.distinct_keys_scaled =
+            static_cast<int64_t>(std::sqrt(1.0 / q) * f1 + (calls - f1));
+      } else {
+        prof.distinct_keys_scaled = static_cast<int64_t>(calls / q);
+      }
     } else if (op.kind == OpKind::kMatch && prof.calls > 0) {
       prof.distinct_keys_scaled =
           rows[op.inputs[0]] * rows[op.inputs[1]] / prof.calls;
