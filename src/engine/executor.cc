@@ -928,8 +928,8 @@ class ExecContext {
 
   /// Drains `in` into `run`, pinned on `resident`'s ledger: the caller
   /// references its records, so they must not be evicted mid-probe;
-  /// co-resident buffers are evicted to make room. The in-memory hash join's
-  /// build side and the in-memory Cross's inner side.
+  /// co-resident buffers are evicted to make room. Used for the in-memory
+  /// hash join's build side and the in-memory Cross's inner side.
   static Status DrainResident(OpTask& task, SpillableBuffer* in,
                               PinnedBytes* resident,
                               std::vector<RecordBatch>* run) {

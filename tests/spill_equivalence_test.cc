@@ -39,8 +39,8 @@
 
 #include "api/optimized_program.h"
 #include "api/pipeline.h"
-#include "engine/executor.h"
 #include "common/rng.h"
+#include "engine/executor.h"
 #include "reorder/plan.h"
 #include "tests/test_flows.h"
 #include "workloads/clickstream.h"
