@@ -235,7 +235,10 @@ class ChainRunner {
       next->clear();
       if (s.op != nullptr) {
         interp::RunStats rs;
-        Status st = interps_[si]->RunBatch(*cur, s.translation, next, &rs);
+        // The in-flight records are the runner's own and are dropped after
+        // this stage, so the stage may consume them.
+        Status st =
+            interps_[si]->RunBatchDonated(cur, s.translation, next, &rs);
         const int64_t n = static_cast<int64_t>(cur->size());
         meters_->records_processed += n;
         MeterUdf(s.op->id, n, static_cast<int64_t>(next->size()), rs,
@@ -342,6 +345,12 @@ class ChainRunner {
   ExecStats* meters_;
 };
 
+/// The interp::CallInputs::donated bits of a pair call (Match, Cross): the
+/// sides whose record the caller owns and never reads after the call
+/// (DESIGN.md §2.2, "Donated inputs").
+constexpr uint32_t kDonateLeft = 1;
+constexpr uint32_t kDonateRight = 2;
+
 /// One partition task of a UDF operator (Reduce, Match, Cross, CoGroup): the
 /// operator's interpreter and its call workspace, reused across all of the
 /// task's calls, the call inputs, the emit buffer, the chain the emits
@@ -362,18 +371,22 @@ class OpTask {
     pair_.groups.assign(2, std::vector<const Record*>(1, nullptr));
   }
 
-  /// One record-at-a-time call on a pair (Match, Cross).
-  Status CallPair(const Record* left, const Record* right) {
+  /// One record-at-a-time call on a pair (Match, Cross). `donated` marks
+  /// the sides (kDonateLeft, kDonateRight) the UDF may consume.
+  Status CallPair(const Record* left, const Record* right,
+                  uint32_t donated = 0) {
     pair_.groups[0][0] = left;
     pair_.groups[1][0] = right;
+    pair_.donated = donated;
     return Call(pair_);
   }
 
   /// One key-at-a-time call on one group per input: a Reduce passes one, a
-  /// CoGroup two (empty for an input that lacks the key).
-  Status CallGroups(
-      std::initializer_list<const std::vector<Record>*> groups) {
+  /// CoGroup two (empty for an input that lacks the key). Every member is
+  /// donated: the caller refills the groups per key.
+  Status CallGroups(std::initializer_list<std::vector<Record>*> groups) {
     grouped_.groups.resize(groups.size());
+    grouped_.donated = (1u << groups.size()) - 1;
     size_t g = 0;
     size_t records = 0;
     for (const std::vector<Record>* members : groups) {
@@ -900,9 +913,8 @@ class ExecContext {
     ExecStats* m = task.meters();
     GroupReader gl(ls->get());
     GroupReader gr(rs->get());
-    static const std::vector<Record> kNoGroup;
     std::vector<Value> lk, rk;
-    std::vector<Record> lmem, rmem;
+    std::vector<Record> lmem, rmem, none;
     StatusOr<bool> lh = gl.NextGroup(m, &lk, &lmem);
     if (!lh.ok()) return lh.status();
     StatusOr<bool> rh = gr.NextGroup(m, &rk, &rmem);
@@ -911,8 +923,8 @@ class ExecContext {
       bool take_left = *lh && (!*rh || !KeyLess(rk, lk));
       bool take_right = *rh && (!*lh || !KeyLess(lk, rk));
       if (outer || (take_left && take_right)) {
-        BLACKBOX_RETURN_NOT_OK(on_key(take_left ? lmem : kNoGroup,
-                                      take_right ? rmem : kNoGroup));
+        BLACKBOX_RETURN_NOT_OK(on_key(take_left ? lmem : none,
+                                      take_right ? rmem : none));
       }
       if (take_left) {
         lh = gl.NextGroup(m, &lk, &lmem);
@@ -1024,11 +1036,13 @@ class ExecContext {
                    const OpProperties& p, bool lsorted, bool rsorted) {
     return ZipGroups(
         task, pi, in, p, lsorted, rsorted, /*outer=*/false,
-        [&](const std::vector<Record>& lmem,
+        [&](std::vector<Record>& lmem,
             const std::vector<Record>& rmem) -> Status {
-          for (const Record& a : lmem) {
+          for (Record& a : lmem) {
             for (const Record& b : rmem) {
-              BLACKBOX_RETURN_NOT_OK(task.CallPair(&a, &b));
+              // The left record is donated on its last right partner.
+              BLACKBOX_RETURN_NOT_OK(task.CallPair(
+                  &a, &b, &b == &rmem.back() ? kDonateLeft : 0));
             }
           }
           return Status::OK();
@@ -1104,11 +1118,18 @@ class ExecContext {
               },
               skip);
           BLACKBOX_RETURN_NOT_OK(st);
+          // The matches are this task's copies, each used once; the probe
+          // record is donated on its last match.
+          const uint32_t build_bit = build_left ? kDonateLeft : kDonateRight;
+          const uint32_t probe_bit = build_left ? kDonateRight : kDonateLeft;
           for (size_t i = 0; i < pb.size(); ++i) {
-            const Record* r = &pb.record(i);
-            for (const Record& b : matches[i]) {
-              BLACKBOX_RETURN_NOT_OK(build_left ? task.CallPair(&b, r)
-                                                : task.CallPair(r, &b));
+            const Record* r = &pb.mutable_record(i);
+            for (Record& b : matches[i]) {
+              const uint32_t donated =
+                  build_bit | (&b == &matches[i].back() ? probe_bit : 0);
+              BLACKBOX_RETURN_NOT_OK(build_left
+                                         ? task.CallPair(&b, r, donated)
+                                         : task.CallPair(r, &b, donated));
             }
           }
           task.pool()->Release(std::move(pb));
@@ -1171,15 +1192,21 @@ class ExecContext {
       for (const RecordBatch& rb : build_run) {
         for (size_t i = 0; i < rb.size(); ++i) table.Insert(&rb.record(i));
       }
+      // The probe record is donated on its last match; the build records
+      // stay in the table for later probes.
+      const uint32_t probe_bit = build_left ? kDonateRight : kDonateLeft;
       BLACKBOX_RETURN_NOT_OK(probe->DrainBatches(
           task.meters(), task.pool(), [&](RecordBatch&& pb) -> Status {
             for (size_t i = 0; i < pb.size(); ++i) {
-              const Record* r = &pb.record(i);
+              const Record* r = &pb.mutable_record(i);
               for (uint32_t e = table.Find(*r, probe_key);
-                   e != JoinTable::kEnd; e = table.Next(e)) {
+                   e != JoinTable::kEnd;) {
                 const Record* b = &table.record(e);
-                BLACKBOX_RETURN_NOT_OK(build_left ? task.CallPair(b, r)
-                                                  : task.CallPair(r, b));
+                e = table.Next(e);
+                const uint32_t donated = e == JoinTable::kEnd ? probe_bit : 0;
+                BLACKBOX_RETURN_NOT_OK(build_left
+                                           ? task.CallPair(b, r, donated)
+                                           : task.CallPair(r, b, donated));
               }
             }
             task.pool()->Release(std::move(pb));
@@ -1207,13 +1234,17 @@ class ExecContext {
         std::vector<RecordBatch> right_run;
         BLACKBOX_RETURN_NOT_OK(
             DrainResident(task, rbuf, &resident, &right_run));
+        // The left record is donated on its last right record.
         return lbuf->DrainBatches(
             task.meters(), task.pool(), [&](RecordBatch&& lb) -> Status {
               for (size_t i = 0; i < lb.size(); ++i) {
                 for (const RecordBatch& rb : right_run) {
                   for (size_t j = 0; j < rb.size(); ++j) {
+                    const bool last =
+                        &rb == &right_run.back() && j + 1 == rb.size();
                     BLACKBOX_RETURN_NOT_OK(
-                        task.CallPair(&lb.record(i), &rb.record(j)));
+                        task.CallPair(&lb.mutable_record(i), &rb.record(j),
+                                      last ? kDonateLeft : 0));
                   }
                 }
               }
@@ -1259,8 +1290,8 @@ class ExecContext {
                    return ZipGroups(
                        task, pi, in, p, Presorted(node, 0), Presorted(node, 1),
                        /*outer=*/true,
-                       [&](const std::vector<Record>& lmem,
-                           const std::vector<Record>& rmem) {
+                       [&](std::vector<Record>& lmem,
+                           std::vector<Record>& rmem) {
                          return task.CallGroups({&lmem, &rmem});
                        });
                  });

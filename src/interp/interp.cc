@@ -1,6 +1,8 @@
 #include "interp/interp.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <functional>
 
@@ -61,6 +63,21 @@ Value Arith(Opcode op, const Value& a, const Value& b) {
   return Value();
 }
 
+#ifndef NDEBUG
+/// The global-record invariant an in-place concat relies on: `rec` holds a
+/// value only at the positions its input owns.
+bool NullOutside(const Record& rec, const std::vector<int>& owned) {
+  for (size_t pos = 0; pos < rec.num_fields(); ++pos) {
+    if (!rec.field(pos).is_null() &&
+        std::find(owned.begin(), owned.end(), static_cast<int>(pos)) ==
+            owned.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+#endif
+
 int Compare(const Value& a, const Value& b) {
   // Numeric cross-type comparison; strings compare lexicographically.
   if (a.type() == ValueType::kString && b.type() == ValueType::kString) {
@@ -100,11 +117,27 @@ Status Interpreter::RunBatch(const std::vector<Record>& in,
                              const FieldTranslation& translation,
                              std::vector<Record>* out,
                              RunStats* stats) const {
+  return RunBatchInternal(in, 0, translation, out, stats);
+}
+
+Status Interpreter::RunBatchDonated(std::vector<Record>* in,
+                                    const FieldTranslation& translation,
+                                    std::vector<Record>* out,
+                                    RunStats* stats) const {
+  return RunBatchInternal(*in, 1, translation, out, stats);
+}
+
+Status Interpreter::RunBatchInternal(const std::vector<Record>& in,
+                                     uint32_t donated,
+                                     const FieldTranslation& translation,
+                                     std::vector<Record>* out,
+                                     RunStats* stats) const {
   Workspace ws;
   ws.Resize(fn_->num_registers());
   CallInputs ci;
   ci.groups.resize(1);
   ci.groups[0].resize(1);
+  ci.donated = donated;
   const int n = static_cast<int>(fn_->instrs().size());
   for (size_t i = 0; i < in.size(); ++i) {
     if (cancel_ != nullptr && i % kCancelCheckStride == 0) {
@@ -173,6 +206,18 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
       recs[reg] = in;
       own(reg);
     }
+  };
+  // The caller's record that operand `operand` of the instruction at `pc`
+  // may move out: register `reg` borrows it from a donated input, and the
+  // function never reads it again (DESIGN.md §2.2). Null otherwise. The
+  // caller owns a donated record as a non-const object, so writing through
+  // the borrowed pointer is defined.
+  auto donated_at = [&](int pc, int operand, int reg) -> Record* {
+    if (!fn_->consumes(pc, operand) || refs[reg] == &recs[reg] ||
+        !inputs.donates(ws->rec_input[reg])) {
+      return nullptr;
+    }
+    return const_cast<Record*>(refs[reg]);
   };
 
   auto input_pos = [&](int input, int local) -> int {
@@ -336,7 +381,11 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
         break;
       }
       case Opcode::kCopyRecord:
-        recs[i.dst] = *refs[i.src0];
+        if (Record* donated = donated_at(pc, 0, i.src0)) {
+          recs[i.dst] = std::move(*donated);
+        } else {
+          recs[i.dst] = *refs[i.src0];
+        }
         own(i.dst);
         rec_input[i.dst] = rec_input[i.src0];
         break;
@@ -354,8 +403,50 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
       case Opcode::kConcatRecords: {
         const Record& a = *refs[i.src0];
         const Record& b = *refs[i.src1];
-        if (translation.concat_positions.empty()) {
+        const std::vector<std::vector<int>>& owned =
+            translation.concat_positions;
+        const size_t width = static_cast<size_t>(translation.global_width);
+        // A donated operand keeps its record when both operands have the
+        // global width (the engine's in-flight records always do).
+        Record* donated = nullptr;
+        int donor = 0;
+        if (!owned.empty() && width > 0 && a.num_fields() == width &&
+            b.num_fields() == width) {
+          donated = donated_at(pc, 0, i.src0);
+          if (donated == nullptr) {
+            donated = donated_at(pc, 1, i.src1);
+            donor = 1;
+          }
+        }
+        assert(owned.empty() ||
+               (NullOutside(a, owned[0]) && NullOutside(b, owned[1])));
+        if (owned.empty()) {
           recs[i.dst] = Record::Concat(a, b);
+        } else if (donated != nullptr) {
+          // In place: equal to the merge below, because both operands span
+          // exactly the global width. The donor keeps the positions the
+          // merge takes from it; every other position is nulled or takes the
+          // other operand's value.
+          std::vector<uint8_t>& owner = ws->concat_owner;
+          owner.assign(width, 0);
+          for (int k = 0; k < 2; ++k) {
+            for (int pos : owned[k]) {
+              if (pos >= 0 && static_cast<size_t>(pos) < width) {
+                owner[pos] = static_cast<uint8_t>(k + 1);
+              }
+            }
+          }
+          const Record& other = donor == 0 ? b : a;
+          const uint8_t kept = static_cast<uint8_t>(donor + 1);
+          Record r = std::move(*donated);
+          for (size_t pos = 0; pos < width; ++pos) {
+            if (owner[pos] == 0) {
+              r.SetField(pos, Value::Null());
+            } else if (owner[pos] != kept) {
+              r.SetField(pos, other.field(pos));
+            }
+          }
+          recs[i.dst] = std::move(r);
         } else {
           // Global-record merge: take each input's owned positions.
           Record r;
@@ -379,10 +470,13 @@ Status Interpreter::RunInternal(const CallInputs& inputs,
         break;
       }
       case Opcode::kEmit: {
-        // The register's last use on every path moves its own record out;
-        // anything else, a borrowed input included, is copied.
+        // The register's last use on every path moves its own record out,
+        // or a donated input's; anything else, a borrowed input included, is
+        // copied.
         if (fn_->moves_at(pc) && refs[i.src0] == &recs[i.src0]) {
           out->push_back(std::move(recs[i.src0]));
+        } else if (Record* donated = donated_at(pc, 0, i.src0)) {
+          out->push_back(std::move(*donated));
         } else {
           out->push_back(*refs[i.src0]);
         }

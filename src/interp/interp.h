@@ -59,6 +59,17 @@ struct RunStats {
 struct CallInputs {
   /// groups[i] is the key group of input i (size 1 for RAT inputs).
   std::vector<std::vector<const Record*>> groups;
+
+  /// Donated inputs (DESIGN.md §2.2): bit i set means the caller owns every
+  /// record of groups[i] as a non-const object and never reads it after the
+  /// call, only clears or destroys it. The function may then move such a
+  /// record out where tac::Function::consumes allows, instead of copying it.
+  /// None by default.
+  uint32_t donated = 0;
+
+  bool donates(int input) const {
+    return input >= 0 && input < 32 && ((donated >> input) & 1) != 0;
+  }
 };
 
 class Interpreter {
@@ -71,13 +82,19 @@ class Interpreter {
   /// register tac::Function::borrows, at the caller's input record. A
   /// borrowed pointer lives for one call; every caller keeps its input
   /// records alive and unmoved for that long. An emit the function marks as
-  /// moves_at moves the slot's record out, leaving the register null.
+  /// moves_at moves the slot's record out, leaving the register null; a
+  /// donated input is moved out of the caller's record where
+  /// tac::Function::consumes allows.
   struct Workspace {
     std::vector<Value> vals;
     std::vector<Record> recs;
     std::vector<const Record*> rec_refs;
     std::vector<int> rec_input;
     std::vector<Record> emitted;  // RunBatch's per-call emit buffer
+    /// In-place concat scratch: per global position, 0 when neither input
+    /// owns it, else 1 + the input whose value the merge keeps. Refilled per
+    /// concat; Reset() leaves it alone.
+    std::vector<uint8_t> concat_owner;
 
     /// First-use sizing on a fresh workspace: resize value-initializes vals
     /// and recs, so only rec_refs and rec_input's "no provenance" sentinel
@@ -180,6 +197,13 @@ class Interpreter {
                   const FieldTranslation& translation,
                   std::vector<Record>* out, RunStats* stats = nullptr) const;
 
+  /// RunBatch over records the caller donates (CallInputs::donated): each
+  /// call may move its record of `*in` out, so the caller only clears or
+  /// destroys them afterwards. Output and RunStats equal RunBatch's.
+  Status RunBatchDonated(std::vector<Record>* in,
+                         const FieldTranslation& translation,
+                         std::vector<Record>* out, RunStats* stats) const;
+
   /// Fused-chain entry point (DESIGN.md §2.6): runs a program produced by
   /// tac::FuseMapChain over the batch of chain-input rows `cols` views. The
   /// constant preamble [0, body_start) executes once per ChainState
@@ -201,6 +225,10 @@ class Interpreter {
     const ColumnView* cols;
     size_t row;
   };
+
+  Status RunBatchInternal(const std::vector<Record>& in, uint32_t donated,
+                          const FieldTranslation& translation,
+                          std::vector<Record>* out, RunStats* stats) const;
 
   Status RunInternal(const CallInputs& inputs,
                      const FieldTranslation& translation,

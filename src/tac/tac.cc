@@ -493,6 +493,12 @@ void FunctionBuilder::DeriveRecordLifetimes() {
   for (const Instr& i : instrs) {
     if (i.op == Opcode::kSetField) fn_.borrows_[i.dst] = 0;
   }
+  auto successors = [&](int pc, auto&& visit) {
+    const Instr& i = instrs[pc];
+    if (i.op == Opcode::kReturn) return;
+    if (i.op != Opcode::kGoto) visit(pc + 1);
+    if (i.target >= 0) visit(i.target);
+  };
 
   // Backward liveness over record registers only, one bitset per
   // instruction: live[pc] holds the registers some path from pc reads before
@@ -513,14 +519,10 @@ void FunctionBuilder::DeriveRecordLifetimes() {
   };
   auto live_after = [&](int pc, uint64_t* into) {
     std::fill(into, into + words, 0);
-    const Instr& i = instrs[pc];
-    auto merge = [&](int succ) {
+    successors(pc, [&](int succ) {
       const uint64_t* s = live_at(succ);
       for (size_t w = 0; w < words; ++w) into[w] |= s[w];
-    };
-    if (i.op == Opcode::kReturn) return;
-    if (i.op != Opcode::kGoto) merge(pc + 1);
-    if (i.target >= 0) merge(i.target);
+    });
   };
   auto set = [&](int reg, bool on) {
     int s = slot[reg];
@@ -530,6 +532,10 @@ void FunctionBuilder::DeriveRecordLifetimes() {
     } else {
       cur[s / 64] &= ~bit;
     }
+  };
+  auto is_live = [&](int reg) {
+    int s = slot[reg];
+    return ((cur[s / 64] >> (s % 64)) & 1) != 0;
   };
   for (bool changed = true; changed;) {
     changed = false;
@@ -568,13 +574,64 @@ void FunctionBuilder::DeriveRecordLifetimes() {
       }
     }
   }
+
+  // Donated inputs, one bit per input (none past 64 inputs): from[r] holds
+  // the inputs a borrowing register r may point into, and loads[pc] the
+  // inputs some path from pc loads, copying or borrowing.
+  auto is_load = [](const Instr& i) {
+    return i.op == Opcode::kInputRecord || i.op == Opcode::kInputAt;
+  };
+  std::vector<uint64_t> from(static_cast<size_t>(regs), 0);
+  std::vector<uint64_t> loads(static_cast<size_t>(n) + 1, 0);
+  auto loads_after = [&](int pc) {
+    uint64_t after = 0;
+    successors(pc, [&](int succ) { after |= loads[succ]; });
+    return after;
+  };
+  if (fn_.num_inputs_ <= 64) {
+    for (const Instr& i : instrs) {
+      if (is_load(i) && fn_.borrows_[i.dst]) {
+        from[i.dst] |= uint64_t{1} << i.imm_int;
+      }
+    }
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (int pc = n - 1; pc >= 0; --pc) {
+        uint64_t at = loads_after(pc);
+        if (is_load(instrs[pc])) at |= uint64_t{1} << instrs[pc].imm_int;
+        if (at != loads[pc]) {
+          loads[pc] = at;
+          changed = true;
+        }
+      }
+    }
+  }
+
   fn_.moves_.assign(static_cast<size_t>(n), 0);
+  fn_.consumes_.assign(static_cast<size_t>(n), 0);
   for (int pc = 0; pc < n; ++pc) {
     const Instr& i = instrs[pc];
-    if (i.op != Opcode::kEmit) continue;
+    if (i.op != Opcode::kCopyRecord && i.op != Opcode::kEmit &&
+        i.op != Opcode::kConcatRecords) {
+      continue;
+    }
     live_after(pc, cur.data());
-    int s = slot[i.src0];
-    fn_.moves_[pc] = ((cur[s / 64] >> (s % 64)) & 1) == 0;
+    if (i.op == Opcode::kEmit) fn_.moves_[pc] = !is_live(i.src0);
+    const int operands[2] = {
+        i.src0, i.op == Opcode::kConcatRecords ? i.src1 : -1};
+    for (int k = 0; k < 2; ++k) {
+      const int reg = operands[k];
+      if (reg < 0 || from[reg] == 0 || is_live(reg) ||
+          (from[reg] & loads_after(pc)) != 0) {
+        continue;
+      }
+      const int other = operands[1 - k];
+      bool shared = other >= 0 && (from[other] & from[reg]) != 0;
+      for (int r = 0; r < regs && !shared; ++r) {
+        shared = slot[r] >= 0 && is_live(r) && (from[r] & from[reg]) != 0;
+      }
+      if (!shared) fn_.consumes_[pc] |= static_cast<uint8_t>(1u << k);
+    }
   }
 }
 

@@ -139,6 +139,15 @@ class Function {
   /// after it on every path, so the record may move out instead of being
   /// copied.
   bool moves_at(int pc) const { return moves_[pc] != 0; }
+  /// consumes(pc, operand): operand `operand` (0: src0, 1: src1) of the
+  /// kCopyRecord, kEmit or kConcatRecords at `pc` may take the record it
+  /// borrows from a donated input (DESIGN.md §2.2, "Donated inputs"). The
+  /// register is dead after `pc`, no load of an input it borrows from is
+  /// reachable after `pc`, and neither a record register live after `pc`
+  /// nor the instruction's other operand may borrow from such an input.
+  bool consumes(int pc, int operand) const {
+    return ((consumes_[pc] >> operand) & 1) != 0;
+  }
 
   /// Disassembly with instruction labels, in the style of the paper's §3
   /// listings.
@@ -152,8 +161,9 @@ class Function {
   UdfKind kind_ = UdfKind::kRat;
   std::vector<Instr> instrs_;
   std::vector<RegType> reg_types_;
-  std::vector<uint8_t> borrows_;  // per register
-  std::vector<uint8_t> moves_;    // per instruction
+  std::vector<uint8_t> borrows_;   // per register
+  std::vector<uint8_t> moves_;     // per instruction
+  std::vector<uint8_t> consumes_;  // per instruction: bit k for operand k
 };
 
 /// Opaque register handle produced by the builder.

@@ -1,39 +1,11 @@
 #include "interp/interp.h"
 
-#include <cstdlib>
-#include <new>
+#include <functional>
 #include <string>
 
 #include <gtest/gtest.h>
 
-namespace {
-
-/// Heap allocations this thread makes while counting is on: the replacement
-/// operator new below counts them for the record-lifetime tests.
-thread_local bool t_counting = false;
-thread_local long t_allocations = 0;
-
-}  // namespace
-
-// Out of line, so the compiler never pairs an inlined free() with a
-// new-expression (-Wmismatched-new-delete). The array forms are replaced too:
-// a sanitizer runtime supplies its own, which would bypass the count.
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  if (t_counting) ++t_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t n) {
-  return ::operator new(n);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "tests/alloc_count.h"
 
 namespace blackbox {
 namespace interp {
@@ -528,15 +500,20 @@ TEST(Interp, DynamicFieldIndexReadsAtRuntime) {
   EXPECT_EQ(res[0].field(3).AsInt(), 9);  // field[field[0]] == field[2]
 }
 
-// --- Record lifetimes: borrowed inputs, moved emits (DESIGN.md §2.2) --------
+// --- Record lifetimes: borrowed, moved and donated (DESIGN.md §2.2) ---------
+
+/// Program counter of the `nth` instruction of `fn` with opcode `op`.
+int Pc(const tac::Function& fn, tac::Opcode op, int nth = 0) {
+  for (int pc = 0; pc < static_cast<int>(fn.instrs().size()); ++pc) {
+    if (fn.instrs()[pc].op == op && nth-- == 0) return pc;
+  }
+  ADD_FAILURE() << "no " << tac::OpcodeName(op) << " #" << nth;
+  return 0;
+}
 
 /// Program counter of the `nth` kEmit of `fn`.
 int EmitPc(const tac::Function& fn, int nth) {
-  for (int pc = 0; pc < static_cast<int>(fn.instrs().size()); ++pc) {
-    if (fn.instrs()[pc].op == tac::Opcode::kEmit && nth-- == 0) return pc;
-  }
-  ADD_FAILURE() << "no emit #" << nth;
-  return 0;
+  return Pc(fn, tac::Opcode::kEmit, nth);
 }
 
 /// One single-record call per record.
@@ -690,55 +667,168 @@ TEST(Interp, BorrowedInputIsCopiedAndNeverChanged) {
 }
 
 /// Allocations made by one call of `fn` through a CallState that a first,
-/// uncounted call has already sized.
+/// uncounted call has already sized. A call consumes the inputs `ci`
+/// donates, so `refill`, when set, re-creates them before each call.
 long SecondCallAllocations(const Interpreter& interp,
                            const FieldTranslation& t, const CallInputs& ci,
-                           std::vector<Record>* out) {
+                           std::vector<Record>* out,
+                           const std::function<void()>& refill = nullptr) {
   Interpreter::CallState state;
+  if (refill) refill();
   EXPECT_TRUE(interp.Run(ci, t, out, nullptr, &state).ok());
-  t_allocations = 0;
-  t_counting = true;
-  Status st = interp.Run(ci, t, out, nullptr, &state);
-  t_counting = false;
+  if (refill) refill();
+  Status st;
+  const long allocations = testing::AllocationsDuring(
+      [&] { st = interp.Run(ci, t, out, nullptr, &state); });
   EXPECT_TRUE(st.ok()) << st.ToString();
-  return t_allocations;
+  return allocations;
 }
 
-TEST(Interp, ConcatJoinCallAllocatesOnlyItsOutput) {
-  // The engine's join UDF: both inputs borrowed, the concat moved out. Its
-  // one allocation is the emitted record's field vector.
+/// The engine's join UDF: both inputs borrowed, the concat moved out.
+tac::Function MakeConcatJoin() {
   FunctionBuilder b("join", 2, UdfKind::kRat);
   Reg l = b.InputRecord(0);
   Reg r = b.InputRecord(1);
   b.Emit(b.Concat(l, r));
   b.Return();
-  tac::Function fn = MustBuild(std::move(b));
+  return MustBuild(std::move(b));
+}
 
+/// A four-position global record whose first two positions come from the
+/// left input and last two from the right, with records of both sides.
+FieldTranslation ConcatTranslation() {
   FieldTranslation t;
   t.global_width = 4;
   t.input_maps = {{0, 1}, {2, 3}};
   t.output_map = {0, 1, 2, 3};
   t.concat_positions = {{0, 1}, {2, 3}};
-  const Record left({Value(int64_t{1}), Value("left"), Value(), Value()});
-  const Record right({Value(), Value(), Value(int64_t{2}), Value("right")});
+  return t;
+}
+Record ConcatLeft() {
+  return Record({Value(int64_t{1}), Value("left"), Value(), Value()});
+}
+Record ConcatRight() {
+  return Record({Value(), Value(), Value(int64_t{2}), Value("right")});
+}
+Record ConcatMerged() {
+  return Record({Value(int64_t{1}), Value("left"), Value(int64_t{2}),
+                 Value("right")});
+}
+
+TEST(Interp, ConcatJoinCallAllocatesOnlyItsOutput) {
+  // Its one allocation is the emitted record's field vector.
+  tac::Function fn = MakeConcatJoin();
+  const Record left = ConcatLeft();
+  const Record right = ConcatRight();
   CallInputs ci;
   ci.groups = {{&left}, {&right}};
 
   Interpreter interp(&fn);
   std::vector<Record> out;
   out.reserve(2);
-  EXPECT_EQ(SecondCallAllocations(interp, t, ci, &out), 1);
+  EXPECT_EQ(SecondCallAllocations(interp, ConcatTranslation(), ci, &out), 1);
   ASSERT_EQ(out.size(), 2u);
-  const Record want({Value(int64_t{1}), Value("left"), Value(int64_t{2}),
-                     Value("right")});
-  EXPECT_EQ(out[0], want);
-  EXPECT_EQ(out[1], want);
+  EXPECT_EQ(out[0], ConcatMerged());
+  EXPECT_EQ(out[1], ConcatMerged());
 }
 
-TEST(Interp, GroupLoopBorrowsEveryMember) {
-  // A γ-shaped aggregate: it reads every member of the group once and emits
-  // one record. Borrowed members cost nothing, so a group of 100 members
-  // allocates exactly what a group of one does — the output's copy.
+TEST(Interp, DonatedConcatInputBecomesTheOutput) {
+  // Either input may be donated: the concat keeps its record and writes the
+  // other input's positions into it, so the call allocates nothing.
+  tac::Function fn = MakeConcatJoin();
+  const int concat = Pc(fn, tac::Opcode::kConcatRecords);
+  EXPECT_TRUE(fn.consumes(concat, 0));
+  EXPECT_TRUE(fn.consumes(concat, 1));
+  for (int donor : {0, 1}) {
+    SCOPED_TRACE("donor " + std::to_string(donor));
+    Record left, right;
+    CallInputs ci;
+    ci.groups = {{&left}, {&right}};
+    ci.donated = 1u << donor;
+    Interpreter interp(&fn);
+    std::vector<Record> out;
+    out.reserve(2);
+    EXPECT_EQ(SecondCallAllocations(interp, ConcatTranslation(), ci, &out,
+                                    [&] {
+                                      left = ConcatLeft();
+                                      right = ConcatRight();
+                                    }),
+              0);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0], ConcatMerged());
+    EXPECT_EQ(out[1], ConcatMerged());
+    EXPECT_EQ(donor == 0 ? right : left,
+              donor == 0 ? ConcatRight() : ConcatLeft())
+        << "the input that was not donated changed";
+  }
+}
+
+TEST(Interp, DonatedInputStaysWhileAnotherRegisterBorrowsIt) {
+  // Input 0 is loaded into two registers; the second is emitted after the
+  // concat, so the concat must copy input 0 and the emit may take it.
+  FunctionBuilder b("join_and_left", 2, UdfKind::kRat);
+  Reg l = b.InputRecord(0);
+  Reg again = b.InputRecord(0);
+  Reg r = b.InputRecord(1);
+  b.Emit(b.Concat(l, r));
+  b.Emit(again);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+  const int concat = Pc(fn, tac::Opcode::kConcatRecords);
+  EXPECT_FALSE(fn.consumes(concat, 0));
+  EXPECT_TRUE(fn.consumes(concat, 1));
+  EXPECT_TRUE(fn.consumes(EmitPc(fn, 1), 0));
+
+  Record left;
+  const Record right = ConcatRight();
+  CallInputs ci;
+  ci.groups = {{&left}, {&right}};
+  ci.donated = 1;
+  Interpreter interp(&fn);
+  std::vector<Record> out;
+  out.reserve(4);
+  EXPECT_EQ(SecondCallAllocations(interp, ConcatTranslation(), ci, &out,
+                                  [&] { left = ConcatLeft(); }),
+            1)
+      << "the merge's field vector";
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[2], ConcatMerged());
+  EXPECT_EQ(out[3], ConcatLeft());
+}
+
+TEST(Interp, DonatedInputLoadedAgainLaterIsCopied) {
+  FunctionBuilder b("join_then_left", 2, UdfKind::kRat);
+  Reg l = b.InputRecord(0);
+  Reg r = b.InputRecord(1);
+  b.Emit(b.Concat(l, r));
+  b.Emit(b.Copy(b.InputRecord(0)));
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+  const int concat = Pc(fn, tac::Opcode::kConcatRecords);
+  EXPECT_FALSE(fn.consumes(concat, 0));
+  EXPECT_TRUE(fn.consumes(concat, 1));
+  EXPECT_TRUE(fn.consumes(Pc(fn, tac::Opcode::kCopyRecord), 0));
+
+  Record left;
+  const Record right = ConcatRight();
+  CallInputs ci;
+  ci.groups = {{&left}, {&right}};
+  ci.donated = 1;
+  Interpreter interp(&fn);
+  std::vector<Record> out;
+  out.reserve(4);
+  EXPECT_EQ(SecondCallAllocations(interp, ConcatTranslation(), ci, &out,
+                                  [&] { left = ConcatLeft(); }),
+            1)
+      << "the merge's field vector";
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[2], ConcatMerged());
+  EXPECT_EQ(out[3], ConcatLeft());
+}
+
+/// A γ-shaped aggregate: it reads every member of the group once, then
+/// emits a copy of the first member with the sum of field 1.
+tac::Function MakeGroupSum() {
   FunctionBuilder b("sum", 1, UdfKind::kKat);
   Reg n = b.InputCount(0);
   Reg i = b.ConstInt(0);
@@ -755,12 +845,77 @@ TEST(Interp, GroupLoopBorrowsEveryMember) {
   b.SetField(orec, 1, sum);
   b.Emit(orec);
   b.Return();
-  tac::Function fn = MustBuild(std::move(b));
+  return MustBuild(std::move(b));
+}
 
+/// 100 members with a 20-byte string each; their field 1 sums to 4950.
+std::vector<Record> GroupMembers() {
   std::vector<Record> members;
   for (int64_t v = 0; v < 100; ++v) {
     members.push_back(Record({Value(std::string(20, 'm')), Value(v)}));
   }
+  return members;
+}
+
+TEST(Interp, DonatedInputLoadedAgainInALoopIsCopied) {
+  // Every iteration copies the group's first member: the back edge reaches
+  // the load again, so no copy may take the member.
+  FunctionBuilder b("first_n_times", 1, UdfKind::kKat);
+  Reg n = b.InputCount(0);
+  Reg i = b.ConstInt(0);
+  Label loop = b.NewLabel();
+  Label done = b.NewLabel();
+  b.Bind(loop);
+  b.BranchIfFalse(b.CmpLt(i, n), done);
+  b.Emit(b.Copy(b.InputAt(0, b.ConstInt(0))));
+  b.AccumAdd(i, b.ConstInt(1));
+  b.Goto(loop);
+  b.Bind(done);
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+  EXPECT_FALSE(fn.consumes(Pc(fn, tac::Opcode::kCopyRecord), 0));
+
+  const std::vector<Record> want = GroupMembers();
+  std::vector<Record> members = want;
+  CallInputs group;
+  group.groups.resize(1);
+  for (const Record& m : members) group.groups[0].push_back(&m);
+  group.donated = 1;
+  Interpreter interp(&fn);
+  std::vector<Record> out;
+  ASSERT_TRUE(interp.Run(group, {}, &out).ok());
+  ASSERT_EQ(out.size(), want.size());
+  for (const Record& r : out) EXPECT_EQ(r, want[0]);
+}
+
+TEST(Interp, DonatedBorrowedEmitIsMoved) {
+  FunctionBuilder b("pass", 1, UdfKind::kRat);
+  b.Emit(b.InputRecord(0));
+  b.Return();
+  tac::Function fn = MustBuild(std::move(b));
+  EXPECT_TRUE(fn.consumes(EmitPc(fn, 0), 0));
+
+  const Record want({Value(std::string(20, 'p')), Value(int64_t{7})});
+  Record in;
+  CallInputs ci;
+  ci.groups = {{&in}};
+  Interpreter interp(&fn);
+  std::vector<Record> out;
+  out.reserve(4);
+  auto refill = [&] { in = want; };
+  EXPECT_EQ(SecondCallAllocations(interp, {}, ci, &out, refill), 2)
+      << "a borrowed input's copy: its field vector and its 20-byte string";
+  ci.donated = 1;
+  EXPECT_EQ(SecondCallAllocations(interp, {}, ci, &out, refill), 0);
+  ASSERT_EQ(out.size(), 4u);
+  for (const Record& r : out) EXPECT_EQ(r, want);
+}
+
+TEST(Interp, GroupLoopBorrowsEveryMember) {
+  // Borrowed members cost nothing, so a group of 100 members allocates
+  // exactly what a group of one does — the output's copy.
+  tac::Function fn = MakeGroupSum();
+  const std::vector<Record> members = GroupMembers();
   CallInputs group, single;
   group.groups.resize(1);
   for (const Record& m : members) group.groups[0].push_back(&m);
@@ -775,6 +930,27 @@ TEST(Interp, GroupLoopBorrowsEveryMember) {
   EXPECT_EQ(one, 2) << "the output's field vector and its 20-byte string";
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[3], Record({Value(std::string(20, 'm')), Value(int64_t{4950})}));
+}
+
+TEST(Interp, GroupLoopConsumesItsDonatedFirstMember) {
+  // The loop reads every member before Copy(first), and no load of the
+  // group follows it, so the copy may take the first member's record.
+  tac::Function fn = MakeGroupSum();
+  EXPECT_TRUE(fn.consumes(Pc(fn, tac::Opcode::kCopyRecord), 0));
+  std::vector<Record> members;
+  CallInputs group;
+  group.donated = 1;
+  auto refill = [&] {
+    members = GroupMembers();
+    group.groups.assign(1, {});
+    for (const Record& m : members) group.groups[0].push_back(&m);
+  };
+  Interpreter interp(&fn);
+  std::vector<Record> out;
+  out.reserve(2);
+  EXPECT_EQ(SecondCallAllocations(interp, {}, group, &out, refill), 0);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1], Record({Value(std::string(20, 'm')), Value(int64_t{4950})}));
 }
 
 }  // namespace

@@ -15,11 +15,15 @@
 
 #include "api/optimized_program.h"
 #include "reorder/plan.h"
+#include "tests/exec_expect.h"
 #include "workloads/clickstream.h"
 #include "workloads/tpch.h"
 
 namespace blackbox {
 namespace {
+
+using testing::ExpectIdenticalMeters;
+using testing::ExpectIdenticalOutput;
 
 struct RunOutcome {
   std::vector<double> ranked_costs;
@@ -63,47 +67,6 @@ RunOutcome OptimizeAndRun(const workloads::Workload& w, int num_threads,
   EXPECT_TRUE(worst_out.ok()) << worst_out.status().ToString();
   outcome.worst_output = std::move(worst_out).value();
   return outcome;
-}
-
-/// Byte-identical: same record sequence, not just bag equality — partition
-/// gather order is part of the determinism contract.
-void ExpectIdenticalOutput(const DataSet& a, const DataSet& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.record(i), b.record(i)) << "record " << i << ": "
-                                        << a.record(i).ToString() << " vs "
-                                        << b.record(i).ToString();
-  }
-}
-
-/// All meters and the derived simulated time must match exactly;
-/// wall_seconds is the one field allowed to vary with thread count.
-void ExpectIdenticalMeters(const engine::ExecStats& a,
-                           const engine::ExecStats& b) {
-  EXPECT_EQ(a.network_bytes, b.network_bytes);
-  EXPECT_EQ(a.disk_bytes, b.disk_bytes);
-  EXPECT_EQ(a.udf_calls, b.udf_calls);
-  EXPECT_EQ(a.interp_instructions, b.interp_instructions);
-  EXPECT_EQ(a.cpu_burn_units, b.cpu_burn_units);
-  EXPECT_EQ(a.records_processed, b.records_processed);
-  EXPECT_EQ(a.output_rows, b.output_rows);
-  EXPECT_EQ(a.skipped_batches, b.skipped_batches);
-  EXPECT_EQ(a.skipped_spill_bytes, b.skipped_spill_bytes);
-  EXPECT_EQ(a.fused_chains, b.fused_chains);
-  EXPECT_EQ(a.specialized_instructions_saved,
-            b.specialized_instructions_saved);
-  EXPECT_EQ(a.projected_fields_skipped, b.projected_fields_skipped);
-  EXPECT_EQ(a.peak_bytes, b.peak_bytes);
-  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
-  ASSERT_EQ(a.per_op.size(), b.per_op.size());
-  for (size_t i = 0; i < a.per_op.size(); ++i) {
-    SCOPED_TRACE("per_op[" + std::to_string(i) + "]");
-    EXPECT_EQ(a.per_op[i].udf_calls, b.per_op[i].udf_calls);
-    EXPECT_EQ(a.per_op[i].rows_out, b.per_op[i].rows_out);
-    EXPECT_EQ(a.per_op[i].interp_instructions,
-              b.per_op[i].interp_instructions);
-    EXPECT_EQ(a.per_op[i].cpu_burn_units, b.per_op[i].cpu_burn_units);
-  }
 }
 
 void ExpectThreadCountInvariance(const workloads::Workload& w,
